@@ -36,9 +36,7 @@
 //!    through a `PALMED-WIRE v1` request frame, and require bit-identity
 //!    with the in-process predictions plus fingerprint equality through
 //!    the admin health frame — then the same frame again over a loopback
-//!    TCP listener running the epoll front-end with cross-connection
-//!    batching, so every transport × front-end × serve-core combination is
-//!    smoke-proven bit-identical.
+//!    TCP listener, so both transports are smoke-proven bit-identical.
 //!
 //! Usage: `cargo run --release -p palmed-bench --bin predict -- \
 //!     [--full] [--blocks N] [--out DIR]`
@@ -544,18 +542,14 @@ fn wire_round_trip(
         std::process::exit(1);
     }
 
-    // The same request again over loopback TCP, through the epoll
-    // readiness front-end and the cross-connection shared batcher — the
-    // performance configuration must be bit-identical to the portable one.
-    use palmed_wire::FrontEnd;
+    // The same request again over loopback TCP: the second transport
+    // must serve bit-identically to the UNIX socket.
     let tcp_server = WireServer::bind_tcp(
         std::net::SocketAddrV4::new(std::net::Ipv4Addr::LOCALHOST, 0),
         Engine::new(Arc::clone(&registry)),
         limits,
     )
-    .expect("wire server binds a loopback TCP listener")
-    .with_front_end(FrontEnd::Epoll)
-    .with_batching(true);
+    .expect("wire server binds a loopback TCP listener");
     let tcp_addr = tcp_server.tcp_addr().expect("TCP transport reports its bound address");
     let tcp_stop = tcp_server.stop_handle();
     let tcp_handle = std::thread::spawn(move || tcp_server.run());
@@ -584,7 +578,7 @@ fn wire_round_trip(
         .count();
     if tcp_rows.len() != in_process.len() || tcp_mismatches > 0 {
         eprintln!(
-            "FATAL: TCP/epoll/batched wire served {} rows with {tcp_mismatches} mismatches \
+            "FATAL: TCP wire served {} rows with {tcp_mismatches} mismatches \
              against {} in-process predictions",
             tcp_rows.len(),
             in_process.len()
@@ -597,8 +591,8 @@ fn wire_round_trip(
     println!(
         "[9/9] wire round trip over {}: {} blocks served in {wire_in:.2?}, bit-identical \
          to the in-process predictions; admin health fingerprint {reference:016x}; \
-         server drained and unlinked its socket; TCP {tcp_addr} (epoll front-end, shared \
-         batching) re-served the corpus bit-identically in {tcp_in:.2?}",
+         server drained and unlinked its socket; TCP {tcp_addr} re-served the corpus \
+         bit-identically in {tcp_in:.2?}",
         socket.display(),
         rows.len()
     );

@@ -1,18 +1,15 @@
-//! Wire-plane throughput bench: req/sec and latency quantiles for every
-//! transport-independent serve configuration, recorded as
-//! `BENCH_wire.json`.
+//! Wire-plane throughput bench: req/sec and latency quantiles of the
+//! `epoll(7)` serve loop, recorded as `BENCH_wire.json`.
 //!
-//! The matrix is serve core × front-end × concurrency over a loopback UNIX
-//! socket: {isolated, shared-batcher} × {poll, epoll} × {1, 4, 16}
-//! clients, each client synchronously round-tripping the same
-//! `PALMED-CORPUS v1` request.  Two in-process rows pin the floor the wire
-//! numbers are judged against: `parse_and_predict` (what one isolated
-//! request costs without any socket) and `predict_prepared` (the
-//! steady-state predictor alone).  A final pair of scenarios holds 32
-//! *idle* connections open next to one active client and reports
-//! connection pumps per wakeup for poll vs epoll — the poll front-end
-//! re-walks the full fd set every tick, the epoll front-end pumps only
-//! ready connections, and the ratio is the receipt.
+//! The matrix is concurrency over a loopback UNIX socket: {1, 4, 16}
+//! clients, each synchronously round-tripping the same `PALMED-CORPUS v1`
+//! request.  Two in-process rows pin the floor the wire numbers are
+//! judged against: `parse_and_predict` (what one request costs without
+//! any socket) and `predict_prepared` (the steady-state predictor alone).
+//! A final scenario holds 32 *idle* connections open next to one active
+//! client and reports connection pumps per wakeup: the loop pumps only
+//! ready connections plus a periodic timeout sweep, so the ratio stays
+//! far below the 33 open connections.
 //!
 //! Every scenario's first reply is checked bit-identical to the in-process
 //! predictions, so the numbers can never come from serving wrong rows.
@@ -20,22 +17,22 @@
 //! Output rows (`{"bench", "ns_per_iter"}`, flat like the other
 //! `BENCH_*.json` files):
 //!
-//! * `wire_throughput/<core>_<frontend>/c<N>` — aggregate wall time per
-//!   request at N concurrent clients;
-//! * `wire_latency/<core>_<frontend>/c<N>/p50|p99` — per-request latency
-//!   quantile bounds from the `wire.request_ns` histogram delta;
+//! * `wire_throughput/c<N>` — aggregate wall time per request at N
+//!   concurrent clients;
+//! * `wire_latency/c<N>/p50|p99` — per-request latency quantile bounds
+//!   from the `wire.request_ns` histogram delta;
 //! * `wire_throughput/inprocess/...` — the no-socket floors;
-//! * `wire_frontend/pumps_per_wakeup/poll|epoll` — idle-connection scan
-//!   cost (a ratio, not nanoseconds: connections pumped per wakeup).
+//! * `wire_frontend/pumps_per_wakeup` — idle-connection scan cost (a
+//!   ratio, not nanoseconds: connections pumped per wakeup).
 //!
 //! Usage: `cargo run --release -p palmed-bench --bin wire_throughput -- \
 //!     [--smoke] [--out FILE]`
 //!
-//! `--smoke` runs a reduced matrix in well under a second, asserts the
-//! shared batcher beats isolated serving at 4 clients and that epoll pumps
-//! fewer connections per wakeup than poll under idle load, and writes no
-//! file — it is the CI gate.  The default (full) run writes
-//! `BENCH_wire.json` to the working directory (or `--out`).
+//! `--smoke` runs a reduced matrix in well under a second, asserts every
+//! first reply bit-identical and the idle scan at most
+//! `MAX_IDLE_PUMPS_PER_WAKEUP` connections per wakeup, and writes no file
+//! — it is the CI gate.  The default (full) run writes `BENCH_wire.json`
+//! to the working directory (or `--out`).
 
 use std::process::ExitCode;
 
@@ -71,7 +68,7 @@ mod linux {
     use palmed_serve::{
         BatchPredictor, Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
     };
-    use palmed_wire::{Engine, Frame, FrontEnd, Limits, WireClient, WireServer};
+    use palmed_wire::{Engine, Frame, Limits, WireClient, WireServer};
     use std::process::ExitCode;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -85,9 +82,9 @@ mod linux {
         iters: usize,
         /// Concurrency points of the wire matrix.
         clients: &'static [usize],
-        /// Idle connections held open in the front-end scan scenarios.
+        /// Idle connections held open in the scan scenario.
         idle_conns: usize,
-        /// Round trips the active client makes in the scan scenarios.
+        /// Round trips the active client makes in the scan scenario.
         idle_iters: usize,
     }
 
@@ -97,11 +94,19 @@ mod linux {
         }
 
         pub fn smoke() -> Params {
-            Params { blocks: 300, iters: 5, clients: &[1, 4], idle_conns: 32, idle_iters: 10 }
+            Params { blocks: 300, iters: 5, clients: &[1, 4], idle_conns: 32, idle_iters: 200 }
         }
     }
 
     const MODEL: &str = "wire-bench";
+
+    /// The smoke gate's bound on connections pumped per wakeup with 32
+    /// idle connections next to one active client.  A loop that re-walked
+    /// every connection each wakeup would pump 33.  On a 2-vCPU x86-64 VM
+    /// the ready-list loop measured 1.2-1.3 over eight smoke runs and
+    /// 2.3-2.9 over five full runs (slower requests see more timeout
+    /// sweeps per wakeup); the bound leaves room for a slower machine.
+    const MAX_IDLE_PUMPS_PER_WAKEUP: f64 = 4.0;
 
     /// A mapping covering all six paper-inventory mnemonics, so every
     /// served row is `Some`.
@@ -116,9 +121,7 @@ mod linux {
     }
 
     /// A redundant corpus: `blocks` token-heavy lines cycling through ~96
-    /// distinct kernels, so request cost is parse-dominated — exactly the
-    /// regime the shared batcher's corpus cache and single-predict round
-    /// target.
+    /// distinct kernels, so request cost is parse-dominated.
     fn corpus_text(blocks: usize) -> String {
         let mut text = String::from("PALMED-CORPUS v1\n");
         for i in 0..blocks {
@@ -151,14 +154,6 @@ mod linux {
         json.push(']');
         json.push('\n');
         json
-    }
-
-    struct Scenario {
-        core: &'static str,
-        batching: bool,
-        frontend: &'static str,
-        front_end: FrontEnd,
-        clients: usize,
     }
 
     struct Measured {
@@ -202,31 +197,24 @@ mod linux {
     /// Runs one wire scenario: a fresh server on a fresh socket, `clients`
     /// synchronous clients each round-tripping `iters` requests.
     fn run_scenario(
-        scenario: &Scenario,
+        clients: usize,
         registry: &Arc<ModelRegistry>,
         corpus: &str,
         iters: usize,
         reference: &Arc<Vec<Option<f64>>>,
     ) -> Measured {
-        let socket = std::env::temp_dir().join(format!(
-            "palmed-wire-bench-{}-{}-{}.sock",
-            scenario.core,
-            scenario.frontend,
-            scenario.clients
-        ));
+        let socket = std::env::temp_dir().join(format!("palmed-wire-bench-c{clients}.sock"));
         std::fs::remove_file(&socket).ok();
         let limits = Limits { max_payload: 16 << 20, ..Limits::default() };
         let server = WireServer::bind(&socket, Engine::new(Arc::clone(registry)), limits)
-            .expect("bench server binds")
-            .with_front_end(scenario.front_end)
-            .with_batching(scenario.batching);
+            .expect("bench server binds");
         let stop = server.stop_handle();
         let server_thread = std::thread::spawn(move || server.run());
 
         let before = request_histogram();
         let start = Instant::now();
         let mut workers = Vec::new();
-        for worker in 0..scenario.clients {
+        for worker in 0..clients {
             let socket = socket.clone();
             let corpus = corpus.to_string();
             let reference = Arc::clone(reference);
@@ -275,7 +263,7 @@ mod linux {
         stop.store(true, Ordering::SeqCst);
         server_thread.join().expect("bench server thread").expect("bench serve loop");
 
-        let total = (scenario.clients * iters) as f64;
+        let total = (clients * iters) as f64;
         let delta = histogram_delta(&before, &after);
         assert_eq!(delta.count, total as u64, "every request lands in wire.request_ns");
         Measured {
@@ -285,22 +273,19 @@ mod linux {
         }
     }
 
-    /// Front-end scan cost: `idle_conns` silent connections plus one
-    /// active client; returns connections pumped per wakeup.
+    /// Scan cost: `idle_conns` silent connections plus one active client;
+    /// returns connections pumped per wakeup.
     fn run_idle_scan(
-        front_end: FrontEnd,
-        frontend: &'static str,
         registry: &Arc<ModelRegistry>,
         corpus: &str,
         idle_conns: usize,
         iters: usize,
     ) -> f64 {
-        let socket = std::env::temp_dir().join(format!("palmed-wire-bench-idle-{frontend}.sock"));
+        let socket = std::env::temp_dir().join("palmed-wire-bench-idle.sock");
         std::fs::remove_file(&socket).ok();
         let limits = Limits { max_payload: 16 << 20, ..Limits::default() };
         let server = WireServer::bind(&socket, Engine::new(Arc::clone(registry)), limits)
-            .expect("bench server binds")
-            .with_front_end(front_end);
+            .expect("bench server binds");
         let stop = server.stop_handle();
         let server_thread = std::thread::spawn(move || server.run());
 
@@ -397,101 +382,49 @@ mod linux {
         );
 
         // The wire matrix.
-        let mut shared_at_4 = None;
-        let mut isolated_at_4 = None;
         for &clients in params.clients {
-            for (core, batching) in [("isolated", false), ("shared", true)] {
-                for (frontend, front_end) in [("poll", FrontEnd::Poll), ("epoll", FrontEnd::Epoll)]
-                {
-                    let scenario = Scenario { core, batching, frontend, front_end, clients };
-                    let measured =
-                        run_scenario(&scenario, &registry, &corpus, params.iters, &reference);
-                    println!(
-                        "wire_throughput: {core}/{frontend} c{clients}: {:.0} req/s, \
-                         p50 {:.0}µs, p99 {:.0}µs",
-                        1e9 / measured.ns_per_request,
-                        measured.p50_ns as f64 / 1e3,
-                        measured.p99_ns as f64 / 1e3
-                    );
-                    if clients == 4 && frontend == "epoll" {
-                        if batching {
-                            shared_at_4 = Some(measured.ns_per_request);
-                        } else {
-                            isolated_at_4 = Some(measured.ns_per_request);
-                        }
-                    }
-                    rows.push(Row {
-                        bench: format!("wire_throughput/{core}_{frontend}/c{clients}"),
-                        ns_per_iter: measured.ns_per_request,
-                    });
-                    rows.push(Row {
-                        bench: format!("wire_latency/{core}_{frontend}/c{clients}/p50"),
-                        ns_per_iter: measured.p50_ns as f64,
-                    });
-                    rows.push(Row {
-                        bench: format!("wire_latency/{core}_{frontend}/c{clients}/p99"),
-                        ns_per_iter: measured.p99_ns as f64,
-                    });
-                }
-            }
+            let measured = run_scenario(clients, &registry, &corpus, params.iters, &reference);
+            println!(
+                "wire_throughput: c{clients}: {:.0} req/s, p50 {:.0}µs, p99 {:.0}µs",
+                1e9 / measured.ns_per_request,
+                measured.p50_ns as f64 / 1e3,
+                measured.p99_ns as f64 / 1e3
+            );
+            rows.push(Row {
+                bench: format!("wire_throughput/c{clients}"),
+                ns_per_iter: measured.ns_per_request,
+            });
+            rows.push(Row {
+                bench: format!("wire_latency/c{clients}/p50"),
+                ns_per_iter: measured.p50_ns as f64,
+            });
+            rows.push(Row {
+                bench: format!("wire_latency/c{clients}/p99"),
+                ns_per_iter: measured.p99_ns as f64,
+            });
         }
 
-        // Idle-connection scan cost, poll vs epoll.
-        let poll_scan = run_idle_scan(
-            FrontEnd::Poll,
-            "poll",
-            &registry,
-            &corpus,
-            params.idle_conns,
-            params.idle_iters,
-        );
-        let epoll_scan = run_idle_scan(
-            FrontEnd::Epoll,
-            "epoll",
-            &registry,
-            &corpus,
-            params.idle_conns,
-            params.idle_iters,
-        );
+        // Idle-connection scan cost.
+        let scan = run_idle_scan(&registry, &corpus, params.idle_conns, params.idle_iters);
         println!(
-            "wire_throughput: idle scan ({} idle conns): poll pumps {poll_scan:.1} conns/wakeup, \
-             epoll {epoll_scan:.1}",
+            "wire_throughput: idle scan ({} idle conns): {scan:.1} conns pumped per wakeup",
             params.idle_conns
         );
-        rows.push(Row {
-            bench: "wire_frontend/pumps_per_wakeup/poll".to_string(),
-            ns_per_iter: poll_scan,
-        });
-        rows.push(Row {
-            bench: "wire_frontend/pumps_per_wakeup/epoll".to_string(),
-            ns_per_iter: epoll_scan,
-        });
+        rows.push(Row { bench: "wire_frontend/pumps_per_wakeup".to_string(), ns_per_iter: scan });
 
         if smoke {
-            let (isolated, shared) = (
-                isolated_at_4.expect("isolated c4 ran"),
-                shared_at_4.expect("shared c4 ran"),
-            );
-            if shared >= isolated {
+            if scan > MAX_IDLE_PUMPS_PER_WAKEUP {
                 eprintln!(
-                    "wire_throughput: FAIL: shared batching ({shared:.0} ns/req) did not beat \
-                     isolated serving ({isolated:.0} ns/req) at 4 clients"
-                );
-                return ExitCode::FAILURE;
-            }
-            if epoll_scan >= poll_scan {
-                eprintln!(
-                    "wire_throughput: FAIL: epoll pumped {epoll_scan:.1} conns/wakeup under idle \
-                     load, poll {poll_scan:.1} — the ready-list front-end must not re-walk the \
-                     full set"
+                    "wire_throughput: FAIL: {scan:.1} conns pumped per wakeup with {} idle \
+                     connections (bound {MAX_IDLE_PUMPS_PER_WAKEUP}) — the loop must pump \
+                     ready connections, not re-walk the table",
+                    params.idle_conns
                 );
                 return ExitCode::FAILURE;
             }
             println!(
-                "wire_throughput: OK (smoke): shared {:.1}x isolated at c4; epoll scans \
-                 {:.1}x fewer conns/wakeup than poll",
-                isolated / shared,
-                poll_scan / epoll_scan
+                "wire_throughput: OK (smoke): every first reply bit-identical; {scan:.1} \
+                 conns/wakeup ≤ {MAX_IDLE_PUMPS_PER_WAKEUP} under idle load"
             );
         } else {
             std::fs::write(out, render_rows(&rows)).expect("bench output writes");

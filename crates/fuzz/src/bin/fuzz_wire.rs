@@ -13,13 +13,13 @@
 //! in-process predictor, and the connection always drains.
 //!
 //! It then runs `--multi` interleaved multi-connection schedules (default
-//! 200): 2–4 faulty connections behind one engine and one
-//! [`palmed_wire::SharedBatcher`], asserting that shared-batch serving
-//! stays bit-identical to per-connection serving and that a poisoned or
-//! shed connection never corrupts or stalls another connection's batch
-//! slots — and finally `--decoder-iters` (default 2000) coverage-guided
-//! mutation cases against [`palmed_wire::decode_frame`] itself.  Exits
-//! non-zero on any violation.  CI runs this on every push.
+//! 200): 2–4 faulty connections pumped round by round through one shared
+//! engine, asserting that every connection serves bit-identically to the
+//! in-process predictor across swaps and that a poisoned or shed
+//! connection never corrupts or stalls another — and finally
+//! `--decoder-iters` (default 2000) coverage-guided mutation cases against
+//! [`palmed_wire::decode_frame`] itself.  Exits non-zero on any violation.
+//! CI runs this on every push.
 //!
 //! `--replay <case>` re-executes one deterministic connection schedule
 //! verbosely and exits — the one-liner printed alongside any violation.
@@ -45,7 +45,7 @@ fn main() -> ExitCode {
              [--replay C]"
         );
         println!("  --schedules N      connection schedules to run (default 500)");
-        println!("  --multi K          multi-connection shared-batcher schedules (default 200)");
+        println!("  --multi K          multi-connection schedules on one engine (default 200)");
         println!("  --seed S           first deterministic case number (default 1)");
         println!("  --decoder-iters M  guided frame-decoder mutation cases (default 2000)");
         println!("  --replay C         verbosely re-run one deterministic schedule and exit");

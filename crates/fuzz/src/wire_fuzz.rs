@@ -34,14 +34,14 @@
 //! Schedules are pure functions of their case number; re-run one verbosely
 //! with `fuzz_wire --replay <case>`.
 //!
-//! [`run_multi_schedules`] lifts the same invariants to the shared serve
-//! core: 2–4 connections behind one engine and one
-//! [`palmed_wire::SharedBatcher`], pumped in gather → batch-serve →
-//! scatter rounds.  The mirror expectations are still computed with the
-//! *isolated* in-process predictor, so its drain check is literally
-//! "cross-connection batching is bit-identical to per-connection serving"
-//! — plus isolation: a poisoned or shed member never corrupts or stalls
-//! another member's batch slots.
+//! [`run_multi_schedules`] lifts the same invariants to several
+//! connections sharing one server: 2–4 connections behind one engine,
+//! each round pumping every member once through [`Connection::pump`] —
+//! the loop the socket server runs.  The mirror expectations are computed
+//! with the in-process predictor, so its drain check is "every member
+//! serves bit-identically to a lone in-process predict" — plus isolation:
+//! a poisoned or shed member never corrupts or stalls another member, and
+//! a swap between rounds reaches every member's later requests.
 //!
 //! [`run_decoder_guided`] additionally turns the coverage-guided scheduler
 //! idea of [`crate::guided`] on [`palmed_wire::decode_frame`]: a seed
@@ -619,7 +619,7 @@ impl<'a> Sched<'a> {
 /// Matches a connection's received frames against its mirror expectations,
 /// positionally — the shared drain check of the single-connection and
 /// multi-connection harnesses.  `label` prefixes each violation (empty for
-/// the single-connection harness, `conn N ` for a batch member).
+/// the single-connection harness, `conn N ` for a multi-connection member).
 fn check_positional(
     label: &str,
     expects: &[(u32, Expect)],
@@ -800,7 +800,7 @@ pub fn replay_schedule(case: u32) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-connection schedules: several FaultyConns sharing one SharedBatcher.
+// Multi-connection schedules: several FaultyConns sharing one Engine.
 // ---------------------------------------------------------------------------
 
 /// The in-process reference bytes for one request against one artifact.
@@ -825,16 +825,16 @@ struct Member {
 }
 
 /// One live multi-connection schedule: 2–4 members behind a single
-/// [`SharedBatcher`], each round driving the same gather → batch-serve →
-/// scatter → flush protocol the batching [`palmed_wire::sock::WireServer`]
-/// runs.  The mirror expectations are computed with the *isolated*
-/// in-process predictor, so the drain check is literally "shared-batch
-/// serving is bit-identical to per-connection serving".
+/// [`Engine`], each round pumping every member once, as the
+/// [`palmed_wire::sock::WireServer`] loop does.  The mirror expectations
+/// are computed with the in-process predictor, so the drain check is
+/// literally "serving next to other connections is bit-identical to a
+/// lone in-process predict".
 struct MultiSched<'a> {
     insts: InstructionSet,
     rng: TestRng,
     registry: Arc<ModelRegistry>,
-    batcher: palmed_wire::SharedBatcher,
+    engine: Engine,
     models: Vec<SimModel>,
     limits: Limits,
     members: Vec<Member>,
@@ -885,7 +885,7 @@ impl<'a> MultiSched<'a> {
         });
         MultiSched {
             insts,
-            batcher: palmed_wire::SharedBatcher::new(Engine::new(Arc::clone(&registry))),
+            engine: Engine::new(Arc::clone(&registry)),
             rng,
             registry,
             models,
@@ -897,16 +897,12 @@ impl<'a> MultiSched<'a> {
         }
     }
 
-    /// One shared round over every member: gather, batch-serve, flush,
-    /// then re-decode whatever each member's server side flushed.
+    /// One round: pump every member through the shared engine, then
+    /// re-decode whatever each member's server side flushed.
     fn round(&mut self) {
         self.now += 1;
         for member in &mut self.members {
-            member.conn.pump_gather(self.now, &mut member.stream);
-        }
-        self.batcher.serve_round(self.members.iter_mut().map(|m| &mut m.conn));
-        for member in &mut self.members {
-            member.conn.pump_flush(self.now, &mut member.stream);
+            member.conn.pump(self.now, &mut member.stream, &self.engine);
         }
         for (i, member) in self.members.iter_mut().enumerate() {
             loop {
@@ -961,8 +957,8 @@ impl<'a> MultiSched<'a> {
             }
             self.round();
         }
-        // One settling round: requests decoded on the last delivery round
-        // are taken and answered by the next serve.
+        // One settling round: a write stall on the last delivery round
+        // leaves replies in the backlog for the next flush.
         self.round();
     }
 
@@ -1005,7 +1001,7 @@ impl<'a> MultiSched<'a> {
     }
 
     /// A coalesced burst past the cap on member `at`: sheds must be exact
-    /// and must not consume any *other* member's batch slots.
+    /// and must not touch any *other* member's replies.
     fn op_burst(&mut self, at: usize) {
         let model = self.rng.usize_in(0, self.models.len() - 1);
         let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
@@ -1222,10 +1218,10 @@ fn run_multi_schedule(case: u32, stats: &mut ScheduleStats) {
 }
 
 /// Runs `n` seeded multi-connection schedules starting at case `seed`:
-/// 2–4 [`FaultyConn`]s behind one engine and one [`palmed_wire::SharedBatcher`],
-/// asserting that shared-batch serving stays bit-identical to isolated
-/// per-connection serving and that a poisoned or shed connection never
-/// corrupts or stalls another connection's batch slots.
+/// 2–4 [`FaultyConn`]s pumped round by round through one shared engine,
+/// asserting that every member serves bit-identically to the in-process
+/// predictor, across swaps, and that a poisoned or shed connection never
+/// corrupts or stalls another connection.
 pub fn run_multi_schedules(n: u32, seed: u32) -> WireFuzzSummary {
     let mut summary = WireFuzzSummary::default();
     for i in 0..n {
@@ -1476,8 +1472,8 @@ mod tests {
         }
         assert!(
             summary.violations.is_empty(),
-            "{} violations — shared-batch serving must stay bit-identical to isolated \
-             serving and members must stay isolated",
+            "{} violations — every member must serve bit-identically to the in-process \
+             predictor and members must stay isolated",
             summary.violations.len()
         );
         assert!(summary.requests > 0, "schedules must feed requests");

@@ -84,13 +84,8 @@
 //! | `wire.timeouts.idle` | C | connections closed by the idle timeout |
 //! | `wire.timeouts.write_stall` | C | connections closed because their write backlog made no progress |
 //! | `wire.request_ns` | H | wall time from accepted request to queued reply |
-//! | `wire.batch.coalesced_requests` | C | prediction requests answered by a shared-batcher round |
-//! | `wire.batch.distinct_kernels` | C | distinct kernels evaluated across batch serves |
-//! | `wire.batch.snapshot_pins` | C | registry entries pinned (one resolve per model per round) |
-//! | `wire.batch.corpus_cache_hits` | C | request corpora answered from the parse cache |
-//! | `wire.batch.batch_ns` | H | wall time of each entry group's batch serve |
-//! | `wire.frontend.wakeups` | C | front-end readiness wakeups (`poll`/`epoll_wait` returns) |
-//! | `wire.frontend.pumps` | C | connection pumps run — per wakeup, poll walks every fd, epoll only the ready ones |
+//! | `wire.frontend.wakeups` | C | serve-loop wakeups (`epoll_wait` returns) |
+//! | `wire.frontend.pumps` | C | connection pumps run — the ready connections per wakeup, the whole table on a timeout sweep |
 //! | `eval.machines` | C | campaign machines evaluated |
 //! | `eval.suites` | C | benchmark suites scored |
 //! | `eval.blocks` | C | basic blocks scored across suites |

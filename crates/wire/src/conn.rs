@@ -190,56 +190,6 @@ impl Connection {
         self.finish_if_drained();
     }
 
-    /// The I/O front half of a shared-batcher round: flush, timeouts, read
-    /// and decode — everything [`Connection::pump`] does *before* serving.
-    /// Decoded requests stay queued for [`Connection::take_requests`]; the
-    /// in-flight cap still sheds here (at decode time), so shedding order
-    /// on the wire is identical to the inline path.
-    pub fn pump_gather(&mut self, now: u64, stream: &mut dyn WireStream) {
-        if self.is_closed() {
-            return;
-        }
-        self.flush(now, stream);
-        self.check_timeouts(now);
-        if self.state == ConnState::Open && self.write_backlog() <= self.limits.max_write_backlog {
-            self.fill(now, stream);
-        }
-    }
-
-    /// Hands every decoded-but-unserved request to a shared serve core, in
-    /// arrival order.  A poisoned or closed connection answers nothing
-    /// further: its queue is cleared and nothing is returned, so a poison
-    /// pill never occupies another round's batch slots.
-    pub fn take_requests(&mut self) -> Vec<Frame> {
-        if matches!(self.state, ConnState::Poisoned | ConnState::Closed) {
-            self.pending.clear();
-            return Vec::new();
-        }
-        self.pending.drain(..).collect()
-    }
-
-    /// Queues one reply produced by a shared serve core.  Callers must
-    /// push exactly one reply per frame taken with
-    /// [`Connection::take_requests`], in the same order — that is what
-    /// keeps the wire byte-identical to the inline [`Connection::pump`]
-    /// path.
-    pub fn push_reply(&mut self, frame: Frame) {
-        if self.is_closed() {
-            return;
-        }
-        self.send(frame);
-    }
-
-    /// The flush back half of a shared-batcher round: write what the round
-    /// produced and complete a drain once nothing is left.
-    pub fn pump_flush(&mut self, now: u64, stream: &mut dyn WireStream) {
-        if self.is_closed() {
-            return;
-        }
-        self.flush(now, stream);
-        self.finish_if_drained();
-    }
-
     /// Applies write-stall, deadline and idle policies at tick `now`.
     fn check_timeouts(&mut self, now: u64) {
         if self.state == ConnState::Closed {
@@ -493,7 +443,12 @@ impl Engine {
     /// and every rejection keeps its kebab-case class.
     pub fn execute(&self, req_id: u32, model: &str, corpus_text: &str) -> Frame {
         let Some(entry) = self.registry.get(model) else {
-            return unknown_model_frame(req_id, model);
+            return Frame::Error {
+                req_id,
+                class: "unknown-model".to_string(),
+                offset: None,
+                message: format!("no model registered under `{model}`"),
+            };
         };
         // `entry` is an immutable Arc: the instruction set the corpus is
         // resolved against and the model the batch serves from are the
@@ -510,7 +465,12 @@ impl Engine {
         };
         match rows {
             Ok(rows) => Frame::Response { req_id, rows },
-            Err(e) => corpus_error_frame(req_id, &e),
+            Err(e) => Frame::Error {
+                req_id,
+                class: e.class().to_string(),
+                offset: None,
+                message: e.to_string(),
+            },
         }
     }
 
@@ -528,29 +488,6 @@ impl Engine {
                 message: format!("unknown admin query `{other}` (expected `health` or `obs`)"),
             },
         }
-    }
-}
-
-/// The error frame for a request naming no registered model.  One
-/// constructor shared by [`Engine::execute`] and the shared batcher, so the
-/// inline and batched serve paths stay byte-identical.
-pub(crate) fn unknown_model_frame(req_id: u32, model: &str) -> Frame {
-    Frame::Error {
-        req_id,
-        class: "unknown-model".to_string(),
-        offset: None,
-        message: format!("no model registered under `{model}`"),
-    }
-}
-
-/// The error frame for a corpus the strict parser rejected (see
-/// [`unknown_model_frame`] for why this is shared).
-pub(crate) fn corpus_error_frame(req_id: u32, err: &palmed_serve::CorpusError) -> Frame {
-    Frame::Error {
-        req_id,
-        class: err.class().to_string(),
-        offset: None,
-        message: err.to_string(),
     }
 }
 

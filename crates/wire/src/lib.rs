@@ -1,7 +1,7 @@
 //! `palmed-wire`: the fault-hardened network front-end of the PALMED
 //! serving plane — the `PALMED-WIRE v1` frame protocol, a per-connection
 //! state machine with deadlines and backpressure, and a single-threaded
-//! UNIX-socket server over both.
+//! `epoll(7)` server over both, on a UNIX socket or loopback TCP.
 //!
 //! The in-process serving plane ([`palmed_serve`]) answers a batch of
 //! basic blocks in microseconds; this crate puts that behind a socket
@@ -9,8 +9,8 @@
 //! is robustness-first: the frame codec, the connection lifecycle and the
 //! fault model landed *together with* the fuzzing harness that drives
 //! them (`fuzz_wire` in `palmed-fuzz`), before any performance work.  The
-//! perf layer — cross-connection batching, the `epoll(7)` front-end and
-//! the TCP listener — landed after, under the same fuzzing discipline.
+//! `epoll(7)` serve loop and the TCP listener landed after, under the same
+//! fuzzing discipline.
 //!
 //! # Layers
 //!
@@ -27,58 +27,16 @@
 //!   timeouts, write backpressure, poison-on-malformed-frame and
 //!   drain-on-shutdown, all over an abstract [`conn::WireStream`] and a
 //!   logical tick clock so every decision replays deterministically.
-//! * [`batcher`] — the shared serve core.  One [`batcher::SharedBatcher`]
-//!   round per tick gathers the decoded requests from *every* open
-//!   connection, coalesces them into prepared batches keyed on a shared
-//!   kernel set, predicts each distinct kernel once, and scatters the rows
-//!   back per connection in wire order (see *Batching model* below).
 //! * [`sock`] (Linux) — the transport.  A `cfg`-gated extern-"C" shim
 //!   (no new crates; the workspace builds offline) binding
-//!   `socket`/`bind`/`listen`/`accept`/`recv`/`send`/`poll`, a blocking
+//!   `socket`/`bind`/`listen`/`accept`/`recv`/`send`, a blocking
 //!   single-threaded [`sock::WireServer`] (UNIX via [`sock::WireServer::bind`]
-//!   or TCP via [`sock::WireServer::bind_tcp`], `poll(2)` or `epoll(7)`
-//!   front-end via [`sock::WireServer::with_front_end`]) and a test
+//!   or TCP via [`sock::WireServer::bind_tcp`]) that serves each ready
+//!   connection through [`conn::Connection::pump`], and a test
 //!   [`sock::WireClient`].
-//! * [`epoll`] (Linux) — the readiness shim behind
-//!   [`sock::FrontEnd::Epoll`]: a kernel-side interest list so each wakeup
-//!   pumps only the connections that are actually ready instead of
-//!   re-walking the full fd set every tick.
-//!
-//! # Batching model
-//!
-//! With [`sock::WireServer::with_batching`] enabled, a server tick is a
-//! gather/serve/scatter *round* over every open connection:
-//!
-//! 1. **Gather** — each connection pumps its socket (flush, timeouts,
-//!    fill) and surrenders its decoded, accepted requests.  Admission
-//!    control (`server-busy` shedding, poisoning, deadlines) happens at
-//!    decode time in the connection, so shed ordering is identical to the
-//!    isolated path.
-//! 2. **Snapshot pinning** — each requested model name is resolved against
-//!    the registry *once per round*; every request in the round for that
-//!    name is served by that pinned entry ([`std::sync::Arc`]-held), so a
-//!    registry swap or refresh mid-batch cannot split a round across model
-//!    generations.  The swap takes effect at the next round — the same
-//!    contract a single connection already had across two pumps.
-//! 3. **Coalesce + serve** — requests pinned to the same entry merge into
-//!    one prepared batch ([`palmed_serve::BatchMerge`]): distinct kernels
-//!    across *all* those requests are interned once and predicted once via
-//!    [`palmed_serve::BatchPredictor::predict_prepared`].
-//! 4. **Scatter** — each request's rows are sliced back out of the batch
-//!    result and every reply is pushed onto its own connection's response
-//!    queue in that connection's wire order (request order within a
-//!    connection is never reordered; fairness across connections is
-//!    arrival order within the round).
-//!
-//! The rows are **bit-identical** to isolated serving because the batch
-//! predictor evaluates each distinct kernel independently — merging
-//! corpora changes how often a kernel is predicted (once), never the
-//! arithmetic of its prediction.  The `fuzz_wire` multi-connection
-//! schedules assert exactly this equivalence, plus isolation: a poisoned
-//! or shed connection never corrupts or stalls another connection's slots
-//! in the round.
-//!
-//! # Threat model
+//! * [`epoll`] (Linux) — the readiness shim behind the serve loop: a
+//!   kernel-side interest list so each wakeup pumps only the connections
+//!   that are actually ready, plus a periodic sweep for their timeouts.
 //!
 //! # Threat model
 //!
@@ -99,10 +57,10 @@
 //! `TCP_NODELAY` is the only transport-level difference.  Bind loopback
 //! or firewall accordingly.
 //!
-//! The epoll front-end changes *when* connections are pumped (readiness-
-//! driven plus a periodic timeout sweep) but not *what* happens when they
-//! are: both front-ends drive the same state machine with the same tick
-//! clock, which is why `poll(2)` is kept as the differential reference.
+//! The epoll loop decides *when* connections are pumped (readiness-driven
+//! plus a periodic timeout sweep), never *what* happens when they are: the
+//! socket server and the fuzzer drive the same state machine with the
+//! same tick clock.
 //!
 //! A malformed frame poisons its connection: one error frame goes out,
 //! reading stops, buffered output drains, the socket closes.  The process
@@ -120,17 +78,15 @@
 //! structured, and every accepted request serves bit-identically to the
 //! in-process [`BatchPredictor`](palmed_serve::BatchPredictor).
 
-pub mod batcher;
 pub mod conn;
 pub mod epoll;
 pub mod frame;
 pub mod sock;
 
-pub use batcher::{RoundStats, SharedBatcher};
 pub use conn::{ConnState, Connection, Engine, Limits, WireStream};
 pub use frame::{decode_frame, Decoded, Frame, WireError, MAGIC, NO_OFFSET};
 #[cfg(target_os = "linux")]
-pub use sock::{FrontEnd, WireClient, WireServer};
+pub use sock::{WireClient, WireServer};
 
 #[cfg(test)]
 mod tests {

@@ -3,41 +3,32 @@
 //!
 //! Like the serve crate's `mmap` shim, the socket layer binds the handful
 //! of syscalls it needs directly (`socket`/`bind`/`listen`/`accept`/
-//! `recv`/`send`/`poll`/…) instead of pulling in a crate — the workspace
+//! `recv`/`send`/…) instead of pulling in a crate — the workspace
 //! builds offline.  The raw binding is gated to Linux, where the
 //! `sockaddr_un`/`sockaddr_in` layouts below are ABI-correct; every other
 //! target simply lacks this module (the frame codec and connection state
 //! machine are platform-independent and fully exercised through in-memory
 //! streams).
 //!
-//! The server is deliberately single-threaded: one accept loop, one
-//! [`Connection`] per client, each pumped with non-blocking reads/writes.
-//! Robustness comes from the state machine, not from threads — a stalled,
-//! hostile or half-closed peer costs one poisoned or timed-out connection,
-//! never the process.  Two orthogonal axes are chosen at bind time:
-//!
-//! - **Front-end** ([`FrontEnd`]): `poll(2)` re-walks the full fd set
-//!   every tick (portable fallback and differential reference); `epoll(7)`
-//!   keeps the interest list kernel-side and pumps only ready connections
-//!   (see [`crate::epoll`]).
-//! - **Serve core** ([`WireServer::with_batching`]): isolated
-//!   per-connection serving through the [`Engine`], or cross-connection
-//!   coalescing through one [`SharedBatcher`] round per tick (see
-//!   [`crate::batcher`] for the bit-identity and fairness contract).
+//! The server is deliberately single-threaded: one `epoll(7)` loop (see
+//! [`crate::epoll`]), one [`Connection`] per client, each ready connection
+//! pumped with non-blocking reads/writes and served through the
+//! [`Engine`].  Robustness comes from the state machine, not from threads
+//! — a stalled, hostile or half-closed peer costs one poisoned or
+//! timed-out connection, never the process.
 
 #![cfg(target_os = "linux")]
 
-use crate::batcher::SharedBatcher;
 use crate::conn::{Connection, Engine, Limits, WireStream};
 use crate::frame::{decode_frame, Decoded, Frame, WireError};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Raw Linux syscall bindings: AF_UNIX and AF_INET stream sockets plus
-/// `poll(2)`.
+/// Raw Linux syscall bindings: AF_UNIX and AF_INET stream sockets.
 mod sys {
     use std::ffi::c_void;
     use std::io;
@@ -46,7 +37,6 @@ mod sys {
     pub(super) const AF_UNIX: i32 = 1;
     pub(super) const AF_INET: i32 = 2;
     pub(super) const SOCK_STREAM: i32 = 1;
-    pub(super) const POLLIN: i16 = 0x001;
     const F_SETFL: i32 = 4;
     const O_NONBLOCK: i32 = 0o4000;
     const SOL_SOCKET: i32 = 1;
@@ -74,14 +64,6 @@ mod sys {
         pub(super) sin_zero: [u8; 8],
     }
 
-    /// `struct pollfd`.
-    #[repr(C)]
-    pub(super) struct PollFd {
-        pub(super) fd: i32,
-        pub(super) events: i16,
-        pub(super) revents: i16,
-    }
-
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         // Address pointers are `*const c_void`: C's `struct sockaddr *`
@@ -96,8 +78,6 @@ mod sys {
         fn recv(fd: i32, buf: *mut c_void, len: usize, flags: i32) -> isize;
         fn send(fd: i32, buf: *const c_void, len: usize, flags: i32) -> isize;
         fn close(fd: i32) -> i32;
-        // `nfds_t` is C `unsigned long` — 32 bits on 32-bit targets.
-        fn poll(fds: *mut PollFd, nfds: core::ffi::c_ulong, timeout_ms: i32) -> i32;
         fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         fn unlink(path: *const u8) -> i32;
     }
@@ -277,22 +257,6 @@ mod sys {
         }
     }
 
-    /// Polls `fds` for up to `timeout_ms`; readiness lands in `revents`.
-    pub(super) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `fds` is a live mutable slice of PollFd of exactly
-        // `fds.len()` entries.
-        let ret =
-            unsafe { poll(fds.as_mut_ptr(), fds.len() as core::ffi::c_ulong, timeout_ms) };
-        if ret < 0 {
-            let err = io::Error::last_os_error();
-            return match err.kind() {
-                io::ErrorKind::Interrupted => Ok(0),
-                _ => Err(err),
-            };
-        }
-        Ok(ret as usize)
-    }
-
     pub(super) fn unlink_path(path: &[u8]) {
         let mut nul = Vec::with_capacity(path.len() + 1);
         nul.extend_from_slice(path);
@@ -316,21 +280,6 @@ impl WireStream for SocketStream<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         sys::send_bytes(self.0, buf)
     }
-}
-
-/// Which readiness mechanism drives the serve loop (selected at bind time
-/// via [`WireServer::with_front_end`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontEnd {
-    /// `poll(2)`: the full fd set is rebuilt and re-walked every tick.
-    /// The portable fallback, kept as the differential reference for the
-    /// epoll path.
-    #[default]
-    Poll,
-    /// `epoll(7)`: the interest list lives in the kernel and each wakeup
-    /// pumps only the connections that are actually ready (plus a periodic
-    /// all-connections timeout sweep) — no per-tick full-fd re-walk.
-    Epoll,
 }
 
 /// What the server listens on.
@@ -359,85 +308,8 @@ impl Transport {
     }
 }
 
-/// How connections are served each tick: each on its own through the
-/// [`Engine`] (the isolated baseline), or coalesced through one
-/// [`SharedBatcher`] round (see the [`crate::batcher`] docs).
-enum ServeCore {
-    Isolated(Engine),
-    Shared(Box<SharedBatcher>),
-}
-
-impl ServeCore {
-    fn new(engine: Engine, batching: bool) -> ServeCore {
-        if batching {
-            ServeCore::Shared(Box::new(SharedBatcher::new(engine)))
-        } else {
-            ServeCore::Isolated(engine)
-        }
-    }
-
-    /// Serves one tick over `conns` (the poll front-end's whole table; the
-    /// epoll front-end passes just the ready subset through
-    /// [`ServeCore::pump_tokens`]).
-    fn pump_all(&mut self, now: u64, conns: &mut [(sys::Fd, Connection)]) {
-        match self {
-            ServeCore::Isolated(engine) => {
-                for (fd, conn) in conns.iter_mut() {
-                    conn.pump(now, &mut SocketStream(fd), engine);
-                }
-            }
-            ServeCore::Shared(batcher) => {
-                for (fd, conn) in conns.iter_mut() {
-                    conn.pump_gather(now, &mut SocketStream(fd));
-                }
-                batcher.serve_round(conns.iter_mut().map(|(_, conn)| conn));
-                for (fd, conn) in conns.iter_mut() {
-                    conn.pump_flush(now, &mut SocketStream(fd));
-                }
-            }
-        }
-    }
-
-    /// Serves one tick over the connections named by `tokens` (sorted) in
-    /// an epoll connection table.
-    fn pump_tokens(
-        &mut self,
-        now: u64,
-        conns: &mut std::collections::BTreeMap<u64, EpollSlot>,
-        tokens: &[u64],
-    ) {
-        match self {
-            ServeCore::Isolated(engine) => {
-                for token in tokens {
-                    if let Some(slot) = conns.get_mut(token) {
-                        slot.conn.pump(now, &mut SocketStream(&slot.fd), engine);
-                    }
-                }
-            }
-            ServeCore::Shared(batcher) => {
-                for token in tokens {
-                    if let Some(slot) = conns.get_mut(token) {
-                        slot.conn.pump_gather(now, &mut SocketStream(&slot.fd));
-                    }
-                }
-                batcher.serve_round(
-                    conns
-                        .iter_mut()
-                        .filter(|(token, _)| tokens.binary_search(token).is_ok())
-                        .map(|(_, slot)| &mut slot.conn),
-                );
-                for token in tokens {
-                    if let Some(slot) = conns.get_mut(token) {
-                        slot.conn.pump_flush(now, &mut SocketStream(&slot.fd));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// One connection in the epoll table.
-struct EpollSlot {
+struct Slot {
     fd: sys::Fd,
     conn: Connection,
     /// Whether `EPOLLOUT` interest is currently registered (kept in
@@ -445,7 +317,7 @@ struct EpollSlot {
     write_interest: bool,
 }
 
-/// Ticks between full-table timeout sweeps on the epoll front-end.  Ready
+/// Ticks between full-table timeout sweeps of the serve loop.  Ready
 /// connections are pumped immediately; this only bounds how stale an
 /// *idle* connection's deadline/idle checks can get, so it just needs to
 /// be well under the smallest production timeout window.
@@ -458,14 +330,11 @@ pub struct WireServer {
     engine: Engine,
     limits: Limits,
     stop: Arc<AtomicBool>,
-    front_end: FrontEnd,
-    batching: bool,
 }
 
 impl WireServer {
     /// Binds a UNIX socket at `path` (unlinking any stale *socket* file
-    /// first) and prepares to serve `engine` under `limits`, with the
-    /// defaults: `poll(2)` front-end, isolated per-connection serving.
+    /// first) and prepares to serve `engine` under `limits`.
     ///
     /// # Errors
     ///
@@ -498,8 +367,6 @@ impl WireServer {
             engine,
             limits,
             stop: Arc::new(AtomicBool::new(false)),
-            front_end: FrontEnd::Poll,
-            batching: false,
         })
     }
 
@@ -531,26 +398,7 @@ impl WireServer {
             engine,
             limits,
             stop: Arc::new(AtomicBool::new(false)),
-            front_end: FrontEnd::Poll,
-            batching: false,
         })
-    }
-
-    /// Selects the readiness front-end (default [`FrontEnd::Poll`]).
-    #[must_use]
-    pub fn with_front_end(mut self, front_end: FrontEnd) -> WireServer {
-        self.front_end = front_end;
-        self
-    }
-
-    /// Enables (or disables) cross-connection batching: requests gathered
-    /// from all connections each tick are served through one
-    /// [`SharedBatcher`] round instead of per-connection [`Engine`] calls.
-    /// The wire bytes per connection are identical either way.
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> WireServer {
-        self.batching = batching;
-        self
     }
 
     /// A handle that stops the serve loop: set it to `true` and
@@ -580,84 +428,28 @@ impl WireServer {
     /// gracefully drains: accepting stops, every connection serves its
     /// already-received requests and flushes before the loop exits.
     ///
+    /// The loop is one `epoll(7)` wait per tick: the kernel keeps the
+    /// interest list, each wakeup pumps the ready connections only,
+    /// `EPOLLOUT` interest tracks write-backlog transitions, and a periodic
+    /// sweep (every `EPOLL_SWEEP_TICKS`, 25 ticks) pumps the full table so
+    /// the deadline and idle checks also reach connections that never
+    /// become ready.
+    ///
     /// # Errors
     ///
-    /// Propagates `poll(2)`/`epoll(7)` failures; per-connection failures
-    /// never surface here (they shrink that connection's state machine).
+    /// Propagates `epoll(7)` and `accept(2)` failures; per-connection
+    /// failures never surface here (they shrink that connection's state
+    /// machine).
     pub fn run(self) -> io::Result<()> {
-        match self.front_end {
-            FrontEnd::Poll => self.run_poll(),
-            FrontEnd::Epoll => self.run_epoll(),
-        }
-    }
-
-    /// The `poll(2)` loop: one pollfd per connection, rebuilt and re-walked
-    /// every tick.
-    fn run_poll(self) -> io::Result<()> {
-        let WireServer { transport, listener, engine, limits, stop, batching, .. } = self;
-        let mut core = ServeCore::new(engine, batching);
-        let started = Instant::now();
-        let mut conns: Vec<(sys::Fd, Connection)> = Vec::new();
-        let mut draining = false;
-        loop {
-            if !draining && stop.load(Ordering::SeqCst) {
-                draining = true;
-                for (_, conn) in &mut conns {
-                    conn.begin_drain();
-                }
-            }
-            if draining && conns.is_empty() {
-                break;
-            }
-
-            // One pollfd per connection plus (while accepting) the listener.
-            let mut fds: Vec<sys::PollFd> = conns
-                .iter()
-                .map(|(fd, _)| sys::PollFd { fd: fd.0, events: sys::POLLIN, revents: 0 })
-                .collect();
-            if !draining {
-                fds.push(sys::PollFd { fd: listener.0, events: sys::POLLIN, revents: 0 });
-            }
-            sys::poll_fds(&mut fds, 10)?;
-            palmed_obs::counter!("wire.frontend.wakeups").inc();
-
-            // Ticks are wall milliseconds since the server started; every
-            // timeout below is a deterministic function of them.  New
-            // connections are born at the current tick, so their idle
-            // clocks start at accept, not at server start.
-            let now = started.elapsed().as_millis() as u64;
-            if !draining {
-                while let Some(client) = sys::accept_one(&listener)? {
-                    transport.prepare_client(&client);
-                    conns.push((client, Connection::new(limits, now)));
-                }
-            }
-
-            palmed_obs::counter!("wire.frontend.pumps").add(conns.len() as u64);
-            core.pump_all(now, &mut conns);
-            conns.retain(|(_, conn)| !conn.is_closed());
-        }
-        transport.cleanup();
-        Ok(())
-    }
-
-    /// The `epoll(7)` loop: the kernel keeps the interest list; each wakeup
-    /// pumps the ready connections only, `EPOLLOUT` interest tracks write
-    /// backlog transitions, and a periodic sweep (every
-    /// [`EPOLL_SWEEP_TICKS`]) runs the timeout checks over the full table.
-    fn run_epoll(self) -> io::Result<()> {
-        use std::collections::BTreeMap;
-
         /// The listener's reserved epoll token; connections count up from 0
         /// and never reach it.
         const LISTENER_TOKEN: u64 = u64::MAX;
 
-        let WireServer { transport, listener, engine, limits, stop, batching, .. } = self;
-        let mut core = ServeCore::new(engine, batching);
+        let WireServer { transport, listener, engine, limits, stop } = self;
         let epoll = crate::epoll::Epoll::new()?;
         epoll.add(listener.0, LISTENER_TOKEN, false)?;
         let started = Instant::now();
-        let mut conns: BTreeMap<u64, EpollSlot> = BTreeMap::new();
+        let mut conns: BTreeMap<u64, Slot> = BTreeMap::new();
         let mut next_token: u64 = 0;
         let mut ready = Vec::new();
         let mut draining = false;
@@ -675,6 +467,10 @@ impl WireServer {
 
             epoll.wait(10, &mut ready)?;
             palmed_obs::counter!("wire.frontend.wakeups").inc();
+            // Ticks are wall milliseconds since the server started; every
+            // timeout is a deterministic function of them.  New connections
+            // are born at the current tick, so their idle clocks start at
+            // accept, not at server start.
             let now = started.elapsed().as_millis() as u64;
 
             let mut accept_ready = false;
@@ -692,10 +488,8 @@ impl WireServer {
                     let token = next_token;
                     next_token += 1;
                     epoll.add(client.0, token, false)?;
-                    conns.insert(
-                        token,
-                        EpollSlot { fd: client, conn: Connection::new(limits, now), write_interest: false },
-                    );
+                    let conn = Connection::new(limits, now);
+                    conns.insert(token, Slot { fd: client, conn, write_interest: false });
                     // A newborn connection is pumped this very tick — its
                     // first bytes may already be in the socket buffer.
                     tokens.push(token);
@@ -715,31 +509,22 @@ impl WireServer {
             }
 
             palmed_obs::counter!("wire.frontend.pumps").add(tokens.len() as u64);
-            core.pump_tokens(now, &mut conns, &tokens);
-
             for token in &tokens {
-                let closed = match conns.get_mut(token) {
-                    None => continue,
-                    Some(slot) => {
-                        if slot.conn.is_closed() {
-                            true
-                        } else {
-                            let want = slot.conn.write_backlog() > 0;
-                            if want != slot.write_interest {
-                                epoll.modify(slot.fd.0, *token, want)?;
-                                slot.write_interest = want;
-                            }
-                            false
-                        }
-                    }
-                };
-                if closed {
+                let Some(slot) = conns.get_mut(token) else { continue };
+                slot.conn.pump(now, &mut SocketStream(&slot.fd), &engine);
+                if slot.conn.is_closed() {
                     if let Some(slot) = conns.remove(token) {
                         // Dropping the fd closes it (removing it from the
                         // interest list implicitly); the explicit delete
                         // keeps the kernel set in lockstep.
                         let _ = epoll.delete(slot.fd.0);
                     }
+                    continue;
+                }
+                let want = slot.conn.write_backlog() > 0;
+                if want != slot.write_interest {
+                    epoll.modify(slot.fd.0, *token, want)?;
+                    slot.write_interest = want;
                 }
             }
         }

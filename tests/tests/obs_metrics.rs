@@ -4,15 +4,26 @@
 //!
 //! These tests arm the global obs flag, so they live in their own
 //! integration-test binary — the disabled-path guard runs as a separate
-//! process (`obs_disabled.rs`).
+//! process (`obs_disabled.rs`).  Within the binary they serialize on
+//! [`REGISTRY_LOCK`]: the metrics registry is process-global, so a
+//! snapshot taken while another test hammers counters would see them move.
 
 use palmed_obs::{Histogram, HISTOGRAM_BUCKETS};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes every test that hammers or snapshots the global registry.
+static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+fn registry_lock() -> MutexGuard<'static, ()> {
+    REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const WORKERS: usize = 8;
 const PER_WORKER: u64 = 10_000;
 
 #[test]
 fn concurrent_hammering_loses_no_update() {
+    let _registry = registry_lock();
     palmed_obs::set_enabled(true);
     let counter = palmed_obs::counter("it.hammer.total");
     let histogram = palmed_obs::histogram("it.hammer.values");
@@ -49,6 +60,7 @@ fn concurrent_hammering_loses_no_update() {
 
 #[test]
 fn concurrent_cell_macros_count_exactly() {
+    let _registry = registry_lock();
     palmed_obs::set_enabled(true);
     let workers: Vec<usize> = (0..WORKERS).collect();
     palmed_par::par_map(&workers, |_| {
@@ -62,6 +74,7 @@ fn concurrent_cell_macros_count_exactly() {
 
 #[test]
 fn snapshots_render_deterministically() {
+    let _registry = registry_lock();
     palmed_obs::set_enabled(true);
     palmed_obs::counter("it.render.b").add(2);
     palmed_obs::counter("it.render.a").add(1);
@@ -86,6 +99,7 @@ fn snapshots_render_deterministically() {
 
 #[test]
 fn spans_and_events_drain_in_sequence_order() {
+    let _registry = registry_lock();
     palmed_obs::set_enabled(true);
     {
         let _span = palmed_obs::span("it.section");

@@ -349,13 +349,13 @@ fn a_tcp_flood_past_the_cap_sheds_exactly() {
     handle.join().expect("server thread").expect("serve loop");
 }
 
-/// The epoll front-end plus the shared batcher, end to end over TCP: two
-/// concurrent clients must both be served bit-identically, through one
-/// readiness loop and one batch round at a time.
+/// Concurrent clients end to end over TCP: two clients with requests in
+/// flight together must both be served bit-identically through the one
+/// readiness loop.
 #[cfg(target_os = "linux")]
 #[test]
-fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
-    use palmed_wire::{FrontEnd, WireClient, WireServer};
+fn concurrent_tcp_clients_serve_bit_identically() {
+    use palmed_wire::{WireClient, WireServer};
     use std::net::{Ipv4Addr, SocketAddrV4};
 
     palmed_obs::set_enabled(true);
@@ -364,9 +364,7 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
         engine(),
         Limits::default(),
     )
-    .expect("bind tcp")
-    .with_front_end(FrontEnd::Epoll)
-    .with_batching(true);
+    .expect("bind tcp");
     let addr = server.tcp_addr().unwrap();
     let stop = server.stop_handle();
     let handle = std::thread::spawn(move || server.run());
@@ -380,8 +378,8 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
     let mut first = connect();
     let mut second = connect();
 
-    // Both clients request the same corpus: the round dedupes the parse
-    // and the kernels, and both replies must still be bit-exact.
+    // Both requests are sent before either reply is read, so the loop
+    // sees both connections ready together; both replies must be bit-exact.
     let want: Vec<Option<u64>> =
         expected_rows().iter().map(|r| r.map(f64::to_bits)).collect();
     first.send(&request(10)).expect("send");
@@ -393,7 +391,7 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
                 assert_eq!(
                     rows.iter().map(|r| r.map(f64::to_bits)).collect::<Vec<_>>(),
                     want,
-                    "batched epoll rows must be bit-identical to in-process predictions"
+                    "concurrent rows must be bit-identical to in-process predictions"
                 );
             }
             other => panic!("expected a response, got {other:?}"),
@@ -410,6 +408,82 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
         }
         other => panic!("expected a response, got {other:?}"),
     }
+
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().expect("server thread").expect("serve loop");
+}
+
+/// The serve loop's periodic sweep is the only thing that pumps a
+/// connection that never becomes ready: a silent client must be closed by
+/// its idle timeout and read EOF, while an active client on the same
+/// server keeps round-tripping bit-identically.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_silent_client_is_idle_closed_while_an_active_one_keeps_serving() {
+    use palmed_wire::{WireClient, WireServer};
+    use std::net::{Ipv4Addr, SocketAddrV4};
+    use std::time::{Duration, Instant};
+
+    palmed_obs::set_enabled(true);
+    let server = WireServer::bind_tcp(
+        SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
+        engine(),
+        Limits { idle_timeout_ticks: 100, ..Limits::default() },
+    )
+    .expect("bind tcp");
+    let addr = server.tcp_addr().unwrap();
+    let stop = server.stop_handle();
+    let handle = std::thread::spawn(move || server.run());
+    let connect = || loop {
+        match WireClient::connect_tcp(addr) {
+            Ok(client) => return client,
+            Err(_) => std::thread::yield_now(),
+        }
+    };
+
+    // The silent client never sends; its blocking read ends only when the
+    // server closes the connection.
+    let mut silent = connect();
+    let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+    let silent_reader = std::thread::spawn(move || {
+        let _ = closed_tx.send(silent.recv().map_err(|e| e.kind()));
+    });
+
+    let want: Vec<Option<u64>> =
+        expected_rows().iter().map(|r| r.map(f64::to_bits)).collect();
+    let mut active = connect();
+    let mut round_trip = |req_id: u32| match active.call(&request(req_id)).expect("round trip") {
+        Frame::Response { req_id: got, rows } => {
+            assert_eq!(got, req_id);
+            assert_eq!(
+                rows.iter().map(|r| r.map(f64::to_bits)).collect::<Vec<_>>(),
+                want,
+                "the active client's rows must stay bit-identical"
+            );
+        }
+        other => panic!("expected a response, got {other:?}"),
+    };
+
+    // Keep the active client busy — never idle for a whole window — until
+    // the silent one is closed.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut req_id = 0;
+    let outcome = loop {
+        req_id += 1;
+        round_trip(req_id);
+        if let Ok(outcome) = closed_rx.try_recv() {
+            break outcome;
+        }
+        assert!(Instant::now() < deadline, "the silent client was never idle-closed");
+    };
+    silent_reader.join().expect("silent reader thread");
+    assert_eq!(
+        outcome.expect_err("the silent client must read no frame"),
+        io::ErrorKind::UnexpectedEof,
+        "the silent client reads EOF"
+    );
+    assert!(req_id > 1, "the silent client outlived at least one active round trip");
+    round_trip(req_id + 1);
 
     stop.store(true, std::sync::atomic::Ordering::SeqCst);
     handle.join().expect("server thread").expect("serve loop");

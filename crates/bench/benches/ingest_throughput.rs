@@ -16,13 +16,10 @@
 //! * `ingest_shared_set` — today's `PreparedBatch::from_corpus`: the corpus
 //!   hands its interner over by `Arc`, so ingest is a slot-table copy plus a
 //!   reference-count bump;
-//! * `model_parse_v1` / `model_load_v2b` / `model_load_serving` — the text
-//!   artifact parse vs the binary validate-and-copy load vs the serve-only
-//!   zero-copy load (borrowed view, deferred mapping) of the same inferred
-//!   SKL-like model; the serving case goes through
-//!   `ModelRegistry::load_serving_bytes` (including the handed-over buffer)
-//!   because retaining the bytes behind the borrowed view is exactly the
-//!   contract being measured.
+//! * `model_parse_v1` / `model_load_v2b` — the text artifact parse vs the
+//!   binary validate-and-rebuild decode (`ModelArtifact::parse_bytes`) of
+//!   the same inferred SKL-like model.  The registry's validate-only load
+//!   is priced by the `registry_reload` bench.
 //!
 //! Record with `CRITERION_JSON=BENCH_ingest.json cargo bench --bench
 //! ingest_throughput`.
@@ -32,7 +29,7 @@ use palmed_core::{Palmed, PalmedConfig};
 use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::{FxBuildHasher, InstId, InventoryConfig, KernelSet, Microkernel};
 use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
-use palmed_serve::{Corpus, ModelArtifact, ModelRegistry, PreparedBatch};
+use palmed_serve::{Corpus, ModelArtifact, PreparedBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
@@ -133,8 +130,8 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     );
     group.finish();
 
-    // Model load: the v1 text parse vs the v2b binary validate-and-copy of
-    // the same inferred model.
+    // Model load: the v1 text parse vs the v2b binary decode of the same
+    // inferred model.
     let artifact = ModelArtifact::new(
         preset.name(),
         preset.description.name.clone(),
@@ -153,16 +150,6 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("model_load_v2b", bin.len()), &bin, |b, bin| {
         b.iter(|| ModelArtifact::parse_bytes(bin).unwrap().instructions.len())
-    });
-    group.bench_with_input(BenchmarkId::new("model_load_serving", bin.len()), &bin, |b, bin| {
-        b.iter(|| {
-            let registry = ModelRegistry::new();
-            // `clone` hands the buffer over for retention — part of the cost.
-            let entry = registry.load_serving_bytes(bin.clone()).unwrap();
-            let serving = entry.serving().unwrap();
-            assert!(!serving.artifact.mapping_ready());
-            serving.artifact.instructions.len()
-        })
     });
     group.finish();
 
@@ -202,16 +189,6 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("model_load_v2b", bin.len()), &bin, |b, bin| {
         b.iter(|| ModelArtifact::parse_bytes(bin).unwrap().instructions.len())
-    });
-    group.bench_with_input(BenchmarkId::new("model_load_serving", bin.len()), &bin, |b, bin| {
-        b.iter(|| {
-            let registry = ModelRegistry::new();
-            // `clone` hands the buffer over for retention — part of the cost.
-            let entry = registry.load_serving_bytes(bin.clone()).unwrap();
-            let serving = entry.serving().unwrap();
-            assert!(!serving.artifact.mapping_ready());
-            serving.artifact.instructions.len()
-        })
     });
     group.finish();
 }

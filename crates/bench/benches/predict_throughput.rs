@@ -30,7 +30,7 @@ use palmed_core::{Palmed, PalmedConfig};
 use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::{InventoryConfig, Microkernel};
 use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
-use palmed_serve::{BatchPredictor, CompiledModel, PreparedBatch};
+use palmed_serve::{BatchPredictor, CompiledModel, KernelLoad, PreparedBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

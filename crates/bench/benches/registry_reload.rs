@@ -6,12 +6,10 @@
 //! paper-sized synthetic inventory, across the load modes:
 //!
 //! * `cold_load_full` — `ModelRegistry::load_file` on a `v2b` artifact:
-//!   validate, copy the CSR arrays, rebuild the dense mapping rows;
-//! * `cold_load_serving` — `ModelRegistry::load_file_serving`: validate
-//!   only, retain the heap buffer, defer the mapping;
+//!   validate only, retain the heap buffer, defer the mapping;
 //! * `cold_load_mapped` — `ModelRegistry::load_file_mapped`: the same
-//!   serve-only load with the buffer `mmap(2)`-backed where the platform
-//!   allows, so the artifact bytes are the page cache itself;
+//!   load with the buffer `mmap(2)`-backed where the platform allows, so
+//!   the artifact bytes are the page cache itself;
 //! * `generation_swap` — `ModelRegistry::swap_bytes` over a loaded
 //!   registry: validate the new bytes and atomically install the next
 //!   generation (the in-flight-reader guarantee is what's being priced);
@@ -62,7 +60,7 @@ fn bench_registry_reload(c: &mut Criterion) {
             if entry.serving().unwrap().is_mapped() {
                 "mmap-backed"
             } else {
-                "heap (in-file arrays misaligned or platform without the shim)"
+                "heap (platform without the shim)"
             }
         );
     }
@@ -73,21 +71,10 @@ fn bench_registry_reload(c: &mut Criterion) {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.served().unwrap().compiled.num_entries()
+            assert!(!entry.serving().unwrap().artifact.mapping_ready());
+            entry.generation()
         })
     });
-    group.bench_with_input(
-        BenchmarkId::new("cold_load_serving", bin.len()),
-        &path,
-        |b, path| {
-            b.iter(|| {
-                let registry = ModelRegistry::new();
-                let entry = registry.load_file_serving(path).unwrap();
-                assert!(!entry.serving().unwrap().artifact.mapping_ready());
-                entry.generation()
-            })
-        },
-    );
     group.bench_with_input(
         BenchmarkId::new("cold_load_mapped", bin.len()),
         &path,
@@ -102,7 +89,7 @@ fn bench_registry_reload(c: &mut Criterion) {
     );
 
     let registry = ModelRegistry::new();
-    registry.load_file_serving(&path).unwrap();
+    registry.load_file(&path).unwrap();
     group.bench_with_input(BenchmarkId::new("generation_swap", bin.len()), &bin, |b, bin| {
         b.iter(|| {
             // `clone` hands the buffer over for retention — part of the

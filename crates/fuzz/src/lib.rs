@@ -21,7 +21,7 @@
 //! shuffles, CSR pointer permutation, section splices, truncation,
 //! extension, trailer re-hash after body edits — and feeds the result to
 //! **every** decoder entry point ([`ModelArtifact::parse_bytes`],
-//! [`ModelView::parse_v2`], [`DisjArtifact::parse`], [`Corpus::parse`],
+//! [`CompiledModelRef::parse_v2`], [`DisjArtifact::parse`], [`Corpus::parse`],
 //! [`migrate_v1_to_v2b`]), not just the format's own.  Everything is
 //! deterministic: case `n` replays the same bytes forever (the RNG is the
 //! vendored proptest engine's), so any finding becomes a regression test by
@@ -59,8 +59,8 @@ use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, InventoryConfig, Microkernel};
 use palmed_serve::checksum::{fnv1a64, fnv1a64_words};
 use palmed_serve::{
-    migrate_v1_to_v2b, ArtifactError, Corpus, DisjArtifact, KernelLoad, ModelArtifact, ModelKind,
-    ModelView,
+    migrate_v1_to_v2b, ArtifactError, CompiledModelRef, Corpus, DisjArtifact, KernelLoad,
+    ModelArtifact, ModelKind,
 };
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
@@ -714,7 +714,7 @@ pub fn check_all(
 
     // 2. The zero-copy v2b view must agree with the eager decoder.
     if kind == ModelKind::ConjunctiveV2b {
-        if let Some(detail) = guard("view", || match ModelView::parse_v2(bytes) {
+        if let Some(detail) = guard("view", || match CompiledModelRef::parse_v2(bytes) {
             Ok(view) => {
                 outcome.accepted += 1;
                 outcome.accepts.push("view");

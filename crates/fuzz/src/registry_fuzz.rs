@@ -4,7 +4,7 @@
 //! harness fuzzes the [`ModelRegistry`] *refresh loop* with corrupted
 //! **filesystems**: each case seeds a [`FaultyIo`]
 //! with 1–3 artifact files, loads them into a registry (conjunctive and
-//! disjunctive, across the Full/Serving/Mapped load modes, optionally under
+//! disjunctive, across the heap and mapped load modes, optionally under
 //! a signing key), then scripts 8–30 steps of hostile filesystem history —
 //! good rewrites, corrupt rewrites, torn replaces, mismatched and
 //! wrong-key sidecars, deletions, mtime flaps, armed transient stat/read
@@ -14,7 +14,8 @@
 //!
 //! - **last good generation keeps serving**: every entry resolves after
 //!   every step, its fingerprint is the last *verified* body's, and
-//!   serve-only entries serve those bytes bit-identically;
+//!   conjunctive entries serve those bytes (or their v2b migration)
+//!   bit-identically;
 //! - **no reload without verification**: a name appears in
 //!   [`RefreshOutcome::reloaded`] only when the settled on-disk body is
 //!   valid *and* its sidecar (if any) verifies under the registry's key;
@@ -51,11 +52,10 @@ enum Wire {
     V2b,
 }
 
-/// How the entry was loaded (decides which serving-identity check applies).
+/// How the entry was loaded: read to the heap or opened mapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Full,
-    Serving,
     Mapped,
 }
 
@@ -89,7 +89,7 @@ struct SimEntry {
     sidecar: SidecarState,
     /// Fingerprint of the last body the registry verified and installed.
     good_fp: u64,
-    /// Bytes of that body — the bit-identity reference for serve-only
+    /// Bytes of that body — the bit-identity reference for conjunctive
     /// entries.
     good_bytes: Vec<u8>,
 }
@@ -298,16 +298,19 @@ fn check_step(
                 sim.good_fp
             ));
         }
-        if matches!(sim.mode, Mode::Serving | Mode::Mapped) {
+        if sim.family == Family::Conjunctive {
+            // v2b bodies serve from their own bytes; v1 bodies from their
+            // v2b migration.
+            let expected = match sim.wire {
+                Wire::V2b => Some(sim.good_bytes.clone()),
+                Wire::V1 => palmed_serve::migrate_v1_to_v2b(&sim.good_bytes).ok(),
+            };
             match entry.serving() {
-                Some(serving) if serving.bytes() == sim.good_bytes => {}
-                Some(_) => stats.violations.push(format!(
-                    "`{}` serve-only bytes differ from the last good body",
-                    sim.name
-                )),
-                None => stats
+                Some(serving) if Some(serving.bytes()) == expected.as_deref() => {}
+                Some(_) => stats
                     .violations
-                    .push(format!("`{}` lost its serve-only shape", sim.name)),
+                    .push(format!("`{}` serving bytes differ from the last good body", sim.name)),
+                None => stats.violations.push(format!("`{}` lost its serving shape", sim.name)),
             }
         }
     }
@@ -385,7 +388,7 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
             Family::Conjunctive => match rng.usize_in(0, 3) {
                 0 => (Wire::V1, Mode::Full),
                 1 => (Wire::V2b, Mode::Full),
-                2 => (Wire::V2b, Mode::Serving),
+                2 => (Wire::V1, Mode::Mapped),
                 _ => (Wire::V2b, Mode::Mapped),
             },
         };
@@ -414,7 +417,6 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
         write_sidecar_state(&io, &sim, key.as_deref());
         let loaded = match mode {
             Mode::Full => registry.load_file(&sim.path),
-            Mode::Serving => registry.load_file_serving(&sim.path),
             Mode::Mapped => registry.load_file_mapped(&sim.path),
         };
         match loaded {

@@ -22,20 +22,21 @@
 //!   every preceding byte.  Truncation, bit rot and hand edits that forget to
 //!   re-hash are rejected at load time instead of silently mis-predicting.
 
-use crate::binfmt::{ArtifactBytes, RawIndex};
+use crate::binfmt::RawIndex;
 use crate::codec::ModelKind;
 use crate::compiled::CompiledModel;
+use crate::mmap::FileBuf;
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{ExecClass, Extension, InstDesc, InstId, InstructionSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The lazily materialised mapping of a [`ModelArtifact`].
 ///
 /// Most artifacts are born with their mapping (inference, v1 parse, eager
-/// v2b parse) and the cell is pre-filled.  Serve-only v2b loads instead
-/// retain the validated artifact bytes and defer the dense row rebuild —
+/// v2b parse) and the cell is pre-filled.  Registry entries instead retain
+/// the validated v2b artifact bytes and defer the dense row rebuild —
 /// the dominant cost of a v2b load, and work the serving path never reads —
 /// until the first explicit [`ModelArtifact::mapping`] access, which pays it
 /// exactly once.
@@ -52,7 +53,7 @@ struct MappingCell {
 /// artifact buffer with the registry's serving entry — retaining it costs
 /// one `Arc`, not a copy.
 struct DeferredMapping {
-    bytes: ArtifactBytes,
+    bytes: Arc<FileBuf>,
     index: RawIndex,
 }
 
@@ -61,7 +62,7 @@ impl MappingCell {
         MappingCell { cell: OnceLock::from(mapping), deferred: Mutex::new(None) }
     }
 
-    fn deferred(bytes: ArtifactBytes, index: RawIndex) -> Self {
+    fn deferred(bytes: Arc<FileBuf>, index: RawIndex) -> Self {
         MappingCell {
             cell: OnceLock::new(),
             deferred: Mutex::new(Some(DeferredMapping { bytes, index })),
@@ -81,7 +82,7 @@ impl MappingCell {
                 let guard =
                     self.deferred.lock().expect("rebuild never panics on validated bytes");
                 let deferred = guard.as_ref().expect("unfilled cells carry rebuild state");
-                (deferred.bytes.clone(), deferred.index.clone())
+                (Arc::clone(&deferred.bytes), deferred.index.clone())
             };
             index.rebuild_mapping(bytes.as_slice())
         });
@@ -109,7 +110,7 @@ impl Clone for MappingCell {
         let guard = self.deferred.lock().expect("rebuild never panics on validated bytes");
         match guard.as_ref() {
             Some(deferred) => {
-                MappingCell::deferred(deferred.bytes.clone(), deferred.index.clone())
+                MappingCell::deferred(Arc::clone(&deferred.bytes), deferred.index.clone())
             }
             // A concurrent `mapping()` call finished between the two checks:
             // the rebuild state is only released *after* the cell fills, and
@@ -132,8 +133,8 @@ impl fmt::Debug for MappingCell {
 
 /// A persistable inferred model: provenance, instruction set and mapping.
 ///
-/// The mapping may be lazily materialised (serve-only binary loads defer the
-/// dense row rebuild); access it through [`ModelArtifact::mapping`].
+/// The mapping may be lazily materialised (registry entries defer the dense
+/// row rebuild); access it through [`ModelArtifact::mapping`].
 /// Equality, rendering and compilation force materialisation — only the
 /// serving path, which reads none of them, stays rebuild-free.
 #[derive(Debug, Clone)]
@@ -367,7 +368,7 @@ impl ModelArtifact {
         }
     }
 
-    /// Assembles a serve-only artifact whose mapping rebuild is deferred to
+    /// Assembles a registry entry's artifact whose mapping rebuild is deferred to
     /// the first [`ModelArtifact::mapping`] access.  The bytes and index must
     /// come from a successful [`crate::binfmt::validate`] run — the
     /// validator's `slots <= instructions` check is what keeps the artifact
@@ -376,7 +377,7 @@ impl ModelArtifact {
         machine: String,
         source: String,
         instructions: InstructionSet,
-        bytes: ArtifactBytes,
+        bytes: Arc<FileBuf>,
         index: RawIndex,
     ) -> Self {
         ModelArtifact { machine, source, instructions, mapping: MappingCell::deferred(bytes, index) }
@@ -384,13 +385,13 @@ impl ModelArtifact {
 
     /// The inferred conjunctive resource mapping.
     ///
-    /// Serve-only loads defer the dense row rebuild; the first call pays it
+    /// Registry entries defer the dense row rebuild; the first call pays it
     /// once and every later call returns the cached rows.
     pub fn mapping(&self) -> &ConjunctiveMapping {
         self.mapping.get()
     }
 
-    /// True when the mapping is materialised — `false` for a serve-only load
+    /// True when the mapping is materialised — `false` for a registry entry
     /// that has not yet paid the dense rebuild.
     pub fn mapping_ready(&self) -> bool {
         self.mapping.is_ready()
@@ -630,24 +631,12 @@ impl ModelArtifact {
     /// [`ArtifactError::WrongKind`] (load those through
     /// [`DisjArtifact`](crate::DisjArtifact) or the registry).
     pub fn parse_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        Self::parse_any(bytes).map(|(artifact, _)| artifact)
-    }
-
-    /// Format-sniffing parse that also surfaces the verbatim
-    /// [`CompiledModel`] a binary artifact carries (v1 callers compile from
-    /// the mapping instead).
-    pub(crate) fn parse_any(
-        bytes: &[u8],
-    ) -> Result<(Self, Option<CompiledModel>), ArtifactError> {
         match ModelKind::sniff(bytes) {
-            ModelKind::ConjunctiveV2b => {
-                let (artifact, compiled) = crate::binfmt::decode(bytes)?;
-                Ok((artifact, Some(compiled)))
-            }
+            ModelKind::ConjunctiveV2b => Self::parse_v2(bytes),
             ModelKind::ConjunctiveV1 => {
                 let text =
                     std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?;
-                Ok((Self::parse(text)?, None))
+                Self::parse(text)
             }
             found => {
                 Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found })
@@ -765,6 +754,7 @@ pub(crate) mod tests_support {
 mod tests {
     use super::tests_support::example;
     use super::*;
+    use crate::compiled::KernelLoad;
     use palmed_isa::Microkernel;
 
     #[test]

@@ -20,10 +20,10 @@
 //!   what-if query against the same workload.
 //!
 //! [`BatchPredictor`] is generic over [`KernelLoad`], so the same engine
-//! serves an owned [`CompiledModel`], a borrowed
-//! [`CompiledModelRef`](crate::CompiledModelRef) over retained artifact
-//! bytes, or the [`ModelView`](crate::ModelView) a serve-only load hands
-//! out.  [`BatchPredictor::predict`] chains ingest and serve for one-shot
+//! serves an owned [`CompiledModel`], the borrowed
+//! [`CompiledModelRef`](crate::CompiledModelRef) every conjunctive registry
+//! entry hands out over its retained artifact bytes, or a disjunctive
+//! model.  [`BatchPredictor::predict`] chains ingest and serve for one-shot
 //! use, deduplicating by reference so distinct kernels are never cloned.
 
 use crate::compiled::{CompiledModel, KernelLoad};
@@ -115,8 +115,8 @@ impl PreparedBatch {
     }
 }
 
-/// A sharded batch front-end over any [`KernelLoad`] model — owned,
-/// borrowed, or a [`ModelView`](crate::ModelView).
+/// A sharded batch front-end over any [`KernelLoad`] model — owned or
+/// borrowed.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPredictor<M = CompiledModel> {
     model: M,

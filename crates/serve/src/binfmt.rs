@@ -1,5 +1,5 @@
 //! The `PALMED-MODEL v2b` binary codec: length-prefixed little-endian layout
-//! storing the [`CompiledModel`] CSR arrays verbatim.
+//! storing the [`CompiledModel`] CSR arena verbatim.
 //!
 //! The v1 text format stays the interchange/debug form; v2b exists because a
 //! full XED-sized inventory makes float parsing the dominant load cost.  In
@@ -9,14 +9,13 @@
 //! * [`validate`] walks the buffer once, checks the checksum and every
 //!   structural invariant, and returns a [`RawIndex`] — the byte ranges of
 //!   the CSR arrays plus the instruction inventory.  Nothing is copied.
-//! * Materialisation is then a choice per caller: [`RawIndex::to_compiled`]
-//!   copies the arrays into an owned [`CompiledModel`] (the classic
-//!   validate-and-copy load), [`RawIndex::view`] borrows them in place as a
-//!   [`CompiledModelRef`] (the zero-copy serving load), and
+//! * [`RawIndex::view`] then borrows the arrays in place as a
+//!   [`CompiledModelRef`] — the only serving form, valid at any buffer
+//!   address because every word is read bytewise — and
 //!   [`RawIndex::rebuild_mapping`] re-derives the dense
 //!   [`ConjunctiveMapping`] rows (exactly inverting what
 //!   [`CompiledModel::compile`] does, so a v1↔v2 round trip is
-//!   bit-identical) — which serve-only loads defer until first access.
+//!   bit-identical), which registry entries defer until first access.
 //!
 //! The byte-level plumbing (magic + FNV trailer, length-prefixed sections,
 //! the offset-tagged [`Cursor`]) is the shared machinery of
@@ -40,15 +39,12 @@
 
 use crate::artifact::{token, ArtifactError, ModelArtifact};
 use crate::codec::{
-    finish_trailer, push_f64, push_str, push_u32, u32_at, ArtifactCodec, Cursor, ModelKind,
-    V2B_MAGIC,
+    finish_trailer, push_str, push_u32, u32_at, ArtifactCodec, Cursor, ModelKind, V2B_MAGIC,
 };
 use crate::compiled::{CompiledModel, CompiledModelRef};
-use crate::mmap::FileBuf;
-use palmed_core::ConjunctiveMapping;
+use palmed_core::{ConjunctiveMapping, ThroughputPredictor};
 use palmed_isa::{InstId, InstructionSet};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// The `PALMED-MODEL v2b` codec, as the registry's sniff table sees it.
 pub(crate) struct V2bCodec;
@@ -63,7 +59,7 @@ impl ArtifactCodec for V2bCodec {
     }
 
     fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
-        decode(bytes).map(|(artifact, _)| artifact)
+        decode(bytes)
     }
 }
 
@@ -74,7 +70,7 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
     let compiled = CompiledModel::compile(machine.clone(), mapping);
     let (mapped, row_ptr, cols, vals) = compiled.raw_parts();
 
-    let mut out = Vec::with_capacity(64 + 16 * vals.len());
+    let mut out = Vec::with_capacity(64 + 2 * vals.len());
     out.extend_from_slice(V2B_MAGIC);
     push_str(&mut out, &machine);
     push_str(&mut out, &token(&artifact.source));
@@ -86,26 +82,21 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
         push_str(&mut out, &token(mapping.resource_name(r)));
     }
 
+    // The compiled arena already is the v2b layout: copy it verbatim.
     push_u32(&mut out, mapped.len() as u32);
-    out.extend(mapped.iter().map(|&m| m as u8));
-    for &p in row_ptr {
-        push_u32(&mut out, p);
-    }
-    push_u32(&mut out, cols.len() as u32);
-    for &c in cols {
-        push_u32(&mut out, c);
-    }
-    for &v in vals {
-        push_f64(&mut out, v);
-    }
+    out.extend_from_slice(mapped);
+    out.extend_from_slice(row_ptr);
+    push_u32(&mut out, compiled.num_entries() as u32);
+    out.extend_from_slice(cols);
+    out.extend_from_slice(vals);
 
     finish_trailer(out)
 }
 
 /// A validated map of the byte ranges inside one v2b artifact: everything a
-/// consumer needs to materialise (or borrow) the model without re-checking
-/// any invariant.  Offsets are relative to the artifact's first byte, so the
-/// index stays valid when the buffer is re-based.
+/// consumer needs to borrow the model (or rebuild its mapping) without
+/// re-checking any invariant.  Offsets are relative to the artifact's first
+/// byte, so the index applies to any copy of the validated bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct RawIndex {
     machine: Range<usize>,
@@ -130,9 +121,10 @@ pub(crate) struct Validated {
 /// Walks a v2b artifact once, verifying the checksum and every structural
 /// invariant, without copying any CSR array or rebuilding any dense row.
 ///
-/// This is the single validator behind every v2b load path — owned, borrowed
-/// and serve-only — so corruption, truncation and crafted structural
-/// violations are rejected identically everywhere.
+/// This is the single validator behind every v2b load path — the eager
+/// artifact decode, the standalone view and every registry entry — so
+/// corruption, truncation and crafted structural violations are rejected
+/// identically everywhere.
 pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
     let body = crate::codec::verify_for::<V2bCodec>(bytes)?;
 
@@ -236,89 +228,37 @@ impl RawIndex {
         self.str(bytes, &self.source)
     }
 
-    /// Copies the CSR arrays out of the buffer into an owned
-    /// [`CompiledModel`] — the classic validate-and-copy load, and the
-    /// fallback behind [`CompiledModelRef::to_owned`].
-    pub(crate) fn to_compiled(&self, bytes: &[u8]) -> CompiledModel {
-        let mapped: Vec<bool> = bytes[self.mapped.clone()].iter().map(|&b| b != 0).collect();
-        let row_ptr: Vec<u32> = bytes[self.row_ptr.clone()]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        let cols: Vec<u32> = bytes[self.cols.clone()]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        let vals: Vec<f64> = bytes[self.vals.clone()]
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect();
-        CompiledModel::from_raw_parts(
-            self.machine(bytes).to_string(),
-            self.resource_names.iter().map(|r| self.str(bytes, r).to_string()).collect(),
-            mapped,
-            row_ptr,
-            cols,
-            vals,
-        )
-    }
-
-    /// Borrows the CSR arrays in place as a [`CompiledModelRef`], or `None`
-    /// when the buffer cannot back an aligned `u32` view (the integer arrays
-    /// land on unaligned offsets, or the target is big-endian — v2b arrays
-    /// are little-endian runs).  `vals` needs no alignment: the view reads
-    /// `f64` bit patterns bytewise.
-    pub(crate) fn view<'a>(&self, bytes: &'a [u8]) -> Option<CompiledModelRef<'a>> {
-        if cfg!(target_endian = "big") {
-            return None;
-        }
-        // SAFETY: every bit pattern is a valid u32; `align_to` returns the
-        // longest aligned middle, so empty prefixes prove the whole range
-        // reinterprets in place.  Endianness is checked above.
-        let (rp_head, row_ptr, rp_tail) =
-            unsafe { bytes[self.row_ptr.clone()].align_to::<u32>() };
-        let (c_head, cols, c_tail) = unsafe { bytes[self.cols.clone()].align_to::<u32>() };
-        if !rp_head.is_empty() || !rp_tail.is_empty() || !c_head.is_empty() || !c_tail.is_empty() {
-            return None;
-        }
-        Some(CompiledModelRef::from_parts(
+    /// Borrows the CSR sections in place as a [`CompiledModelRef`].  The
+    /// view reads every word bytewise, so this works for any buffer the
+    /// index was validated against, wherever it sits in memory.
+    pub(crate) fn view<'a>(&self, bytes: &'a [u8]) -> CompiledModelRef<'a> {
+        CompiledModelRef::from_parts(
             self.machine(bytes),
             self.resource_names.iter().map(|r| self.str(bytes, r)).collect(),
             &bytes[self.mapped.clone()],
-            row_ptr,
-            cols,
+            &bytes[self.row_ptr.clone()],
+            &bytes[self.cols.clone()],
             &bytes[self.vals.clone()],
-        ))
-    }
-
-    /// Byte offset the `row_ptr` array starts at — what buffer alignment is
-    /// decided against.
-    pub(crate) fn row_ptr_offset(&self) -> usize {
-        self.row_ptr.start
+        )
     }
 
     /// Rebuilds the dense [`ConjunctiveMapping`] rows by scattering the
     /// sparse entries over zeros (the inverse of [`CompiledModel::compile`]).
-    /// This is the expensive half of a v2b load that the serving path never
-    /// needs — serve-only loads defer it until first explicit access.
+    /// This is the expensive half of a v2b decode that the serving path
+    /// never needs — registry entries defer it until first explicit access.
     pub(crate) fn rebuild_mapping(&self, bytes: &[u8]) -> ConjunctiveMapping {
+        let view = self.view(bytes);
         let n_resources = self.resource_names.len();
-        let mut rows: Vec<(InstId, Vec<f64>)> = Vec::with_capacity(self.slots.min(1 << 20));
-        for i in 0..self.slots {
-            if bytes[self.mapped.start + i] == 0 {
-                continue;
-            }
-            let (start, end) =
-                (u32_at(bytes, &self.row_ptr, i) as usize, u32_at(bytes, &self.row_ptr, i + 1) as usize);
-            let mut usage = vec![0.0; n_resources];
-            for e in start..end {
-                let col = u32_at(bytes, &self.cols, e) as usize;
-                let at = self.vals.start + 8 * e;
-                usage[col] =
-                    f64::from_bits(u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")));
-            }
-            rows.push((InstId(i as u32), usage));
-        }
+        let rows = (0..self.slots)
+            .map(|i| InstId(i as u32))
+            .filter(|&inst| view.supports(inst))
+            .map(|inst| {
+                let mut usage = vec![0.0; n_resources];
+                for (col, value) in view.row(inst) {
+                    usage[col as usize] = value;
+                }
+                (inst, usage)
+            });
         ConjunctiveMapping::from_rows(
             self.resource_names.iter().map(|r| self.str(bytes, r).to_string()).collect(),
             rows,
@@ -326,121 +266,22 @@ impl RawIndex {
     }
 }
 
-/// Owned or mapped artifact bytes whose CSR integer arrays are guaranteed to
-/// sit on aligned offsets, shareable between a serve-only registry entry and
-/// the deferred mapping state of its artifact.
-///
-/// `std::fs::read` hands back a buffer whose base alignment is allocator
-/// luck and whose array offsets depend on name lengths, so roughly 3 in 4
-/// artifacts would land misaligned and fall off the zero-copy path.
-/// [`ArtifactBytes::aligned`] fixes that once at load time: when the arrays
-/// are misaligned it re-bases the payload with a leading shift (one memcpy —
-/// still no per-array copies, no rebuild), after which [`RawIndex::view`] is
-/// guaranteed to succeed on little-endian targets.
-/// [`ArtifactBytes::from_file`] goes one step further and serves straight
-/// from an `mmap(2)`-backed buffer (page-aligned base, so only the in-file
-/// array offset decides), copying to an aligned heap buffer only when it
-/// must.
-#[derive(Clone)]
-pub(crate) struct ArtifactBytes {
-    backing: Backing,
-}
-
-/// Summarised `Debug` — a retained artifact is hundreds of kilobytes, and
-/// this type is reachable from `Debug` on every serving registry entry.
-impl std::fmt::Debug for ArtifactBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.backing {
-            Backing::Heap { start, .. } => {
-                write!(f, "ArtifactBytes::Heap({} bytes, start {start})", self.as_slice().len())
-            }
-            Backing::Mapped(_) => {
-                write!(f, "ArtifactBytes::Mapped({} bytes)", self.as_slice().len())
-            }
-        }
-    }
-}
-
-#[derive(Clone)]
-enum Backing {
-    Heap {
-        buf: Arc<Vec<u8>>,
-        /// Offset of the artifact's first byte inside `buf` (non-zero only
-        /// when the payload was re-based for alignment).
-        start: usize,
-    },
-    /// A read-only file mapping (see [`crate::mmap`]); zero heap bytes.
-    Mapped(Arc<FileBuf>),
-}
-
-impl ArtifactBytes {
-    /// Wraps raw artifact bytes, re-basing them if the validated index says
-    /// the `u32` arrays would otherwise be unaligned.
-    pub(crate) fn aligned(bytes: Vec<u8>, index: &RawIndex) -> ArtifactBytes {
-        let misalignment = (bytes.as_ptr() as usize + index.row_ptr_offset()) % 4;
-        if misalignment == 0 {
-            return ArtifactBytes { backing: Backing::Heap { buf: Arc::new(bytes), start: 0 } };
-        }
-        let mut buf = vec![0u8; bytes.len() + 4];
-        let start = (4 - (buf.as_ptr() as usize + index.row_ptr_offset()) % 4) % 4;
-        buf[start..start + bytes.len()].copy_from_slice(&bytes);
-        buf.truncate(start + bytes.len());
-        ArtifactBytes { backing: Backing::Heap { buf: Arc::new(buf), start } }
-    }
-
-    /// Wraps a whole-file buffer, serving straight from the mapping when the
-    /// arrays are aligned in it and copying to an aligned heap buffer
-    /// otherwise (also the path for heap-read fallbacks).
-    pub(crate) fn from_file(buf: FileBuf, index: &RawIndex) -> ArtifactBytes {
-        let aligned_in_place =
-            (buf.as_slice().as_ptr() as usize + index.row_ptr_offset()).is_multiple_of(4);
-        if buf.is_mapped() && aligned_in_place {
-            return ArtifactBytes { backing: Backing::Mapped(Arc::new(buf)) };
-        }
-        let bytes = match buf {
-            FileBuf::Heap(bytes) => bytes,
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            mapped => mapped.as_slice().to_vec(),
-        };
-        ArtifactBytes::aligned(bytes, index)
-    }
-
-    /// True when the bytes are served straight from a file mapping.
-    pub(crate) fn is_mapped(&self) -> bool {
-        matches!(self.backing, Backing::Mapped(_))
-    }
-
-    /// The artifact bytes.  The heap block or mapping behind the `Arc` never
-    /// moves, so the alignment established at construction holds for the
-    /// lifetime of every clone.
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match &self.backing {
-            Backing::Heap { buf, start } => &buf[*start..],
-            Backing::Mapped(buf) => buf.as_slice(),
-        }
-    }
-}
-
-/// Parses and verifies a v2b artifact, returning both the self-describing
-/// artifact (dense mapping rebuilt eagerly) and the compiled model copied
-/// verbatim from the stored arrays.
-pub(crate) fn decode(bytes: &[u8]) -> Result<(ModelArtifact, CompiledModel), ArtifactError> {
+/// Parses and verifies a v2b artifact, rebuilding its dense mapping eagerly.
+pub(crate) fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
     let Validated { instructions, index } = validate(bytes)?;
-    let mapping = index.rebuild_mapping(bytes);
-    let compiled = index.to_compiled(bytes);
-    let artifact = ModelArtifact::new(
+    Ok(ModelArtifact::new(
         index.machine(bytes).to_string(),
         index.source(bytes).to_string(),
         instructions,
-        mapping,
-    );
-    Ok((artifact, compiled))
+        index.rebuild_mapping(bytes),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checksum::fnv1a64_words;
+    use crate::codec::push_f64;
 
     /// Hand-encodes a crafted v2b body with a `row_ptr` that overshoots
     /// `nnz` in the middle while keeping the pinned endpoints valid: the
@@ -476,26 +317,34 @@ mod tests {
         }
     }
 
-    /// Re-basing preserves the payload bytes and establishes alignment.
+    /// The view borrows in place at every incoming byte shift — no
+    /// alignment rule, no copy — and serves the compiled model's exact bits.
     #[test]
-    fn aligned_bytes_preserve_content_at_any_incoming_shift() {
+    fn views_borrow_in_place_at_any_incoming_shift() {
+        use crate::compiled::KernelLoad;
+        use palmed_core::ThroughputPredictor;
         let artifact = crate::artifact::tests_support::example();
         let bin = artifact.render_v2();
-        let Validated { index, .. } = validate(&bin).unwrap();
-        for shift in 0..4usize {
-            // Place the artifact at a deliberate offset inside a u32-aligned
-            // backing store, so the incoming alignment is exact.
-            let mut backing = vec![0u8; bin.len() + 8];
-            let base = backing.as_ptr() as usize;
-            let pad = (4 - base % 4) % 4 + shift;
+        let owned = artifact.compile();
+        let k = palmed_isa::Microkernel::pair(InstId(2), 2, InstId(3), 1);
+        for shift in 0..8usize {
+            let mut backing = vec![0u8; bin.len() + 16];
+            let pad = (8 - backing.as_ptr() as usize % 8) % 8 + shift;
             backing[pad..pad + bin.len()].copy_from_slice(&bin);
-            let slice = backing[pad..pad + bin.len()].to_vec();
-            let aligned = ArtifactBytes::aligned(slice, &index);
-            assert_eq!(aligned.as_slice(), &bin[..]);
-            assert!(
-                index.view(aligned.as_slice()).is_some() || cfg!(target_endian = "big"),
-                "aligned bytes must back a borrowed view (shift {shift})"
+            let slice = &backing[pad..pad + bin.len()];
+            let Validated { index, .. } = validate(slice).unwrap();
+            let view = index.view(slice);
+            assert!(std::ptr::eq(view.name().as_ptr(), &slice[index.machine.start]));
+            let mut scratch = view.scratch();
+            assert_eq!(
+                view.ipc_with(&k, &mut scratch).map(f64::to_bits),
+                owned.ipc_with(&k, &mut owned.scratch()).map(f64::to_bits),
+                "shift {shift}"
             );
+            for inst in (0..6).map(InstId) {
+                assert_eq!(view.supports(inst), owned.supports(inst));
+                assert_eq!(view.row(inst).collect::<Vec<_>>(), owned.row(inst).collect::<Vec<_>>());
+            }
         }
     }
 

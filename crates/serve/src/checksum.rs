@@ -9,7 +9,7 @@
 //! * [`fnv1a64_words`] — the same hash strided over zero-padded 8-byte
 //!   little-endian words, used by the binary codecs (`PALMED-MODEL v2b`,
 //!   `PALMED-DISJ v1`): 8× fewer multiplies, because the dominant cost of a
-//!   validate-and-copy load would otherwise be the integrity sweep itself.
+//!   validate-only load would otherwise be the integrity sweep itself.
 //!
 //! The checksum is **integrity, not authentication**: an attacker can always
 //! re-hash a crafted body, so every codec's structural validation must hold

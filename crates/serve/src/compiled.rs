@@ -1,6 +1,6 @@
-//! The compiled predictor: a [`ConjunctiveMapping`] flattened for serving —
-//! owned ([`CompiledModel`]) or borrowed straight from artifact bytes
-//! ([`CompiledModelRef`]).
+//! The compiled predictor: a [`ConjunctiveMapping`] flattened into the
+//! `PALMED-MODEL v2b` CSR byte layout — owned ([`CompiledModel`]) or
+//! borrowed straight from artifact bytes ([`CompiledModelRef`]).
 //!
 //! [`ConjunctiveMapping`] stores usage rows in a `BTreeMap` keyed by
 //! [`InstId`] — ideal while the inference pipeline is still inserting and
@@ -9,16 +9,17 @@
 //! [`CompiledModel`] freezes the mapping into a CSR-style arena: a dense
 //! `row_ptr` table indexed by instruction, one flat `(resource, usage)` slice
 //! per instruction with zero entries dropped, and resource indices kept
-//! dense.  Prediction walks two flat arrays and writes into a caller-provided
+//! dense.  Prediction walks flat arrays and writes into a caller-provided
 //! scratch buffer — no allocation, no pointer chasing.
 //!
-//! [`CompiledModelRef`] is the same arena *without the copies*: a
-//! validate-once view whose `row_ptr`/`cols` slices alias the raw `v2b`
-//! artifact bytes and whose usage values are read as `f64` bit patterns in
-//! place.  Both implement [`KernelLoad`], the allocation-free serving
-//! interface the batch engine is generic over; [`ModelView`] holds whichever
-//! of the two a load produced (borrowed when the buffer alignment allows it,
-//! owned otherwise).
+//! The arena is kept exactly as a v2b artifact lays it out: one flag byte
+//! per instruction slot, then little-endian `u32` row pointers, `u32` column
+//! indices and `f64` bit patterns, all read bytewise — so any buffer backs
+//! it, at any alignment, on any endianness.  [`CompiledModelRef`] is that
+//! arena *without the copies*: a validate-once view whose slices alias the
+//! artifact bytes (heap or `mmap(2)`).  Both serve through [`KernelLoad`],
+//! the allocation-free interface the batch engine is generic over, and both
+//! run the one CSR hot loop.
 //!
 //! The arithmetic performs the same additions in the same order as the
 //! `BTreeMap` path (kernels iterate in instruction order in both, and
@@ -30,7 +31,6 @@
 use crate::artifact::ArtifactError;
 use palmed_core::{ConjunctiveMapping, ResourceId, ThroughputPredictor};
 use palmed_isa::{InstId, Microkernel};
-use std::borrow::Cow;
 use std::cell::RefCell;
 
 thread_local! {
@@ -41,6 +41,82 @@ thread_local! {
     pub(crate) static LOAD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
+#[inline]
+fn le_u32(word: &[u8]) -> u32 {
+    u32::from_le_bytes(word.try_into().expect("4 bytes per u32"))
+}
+
+#[inline]
+fn le_f64(word: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(word.try_into().expect("8 bytes per f64")))
+}
+
+/// The CSR arena in the v2b byte layout, borrowed from whichever model owns
+/// or aliases it.  Invariants (pinned by [`CompiledModel::compile`] or the
+/// v2b validator): `row_ptr` holds `mapped.len() + 1` monotone entries from
+/// 0 to `nnz`, `cols`/`vals` hold `nnz` entries, columns ascend within a
+/// row and index below `num_resources`, and unmapped slots have empty rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Csr<'a> {
+    num_resources: usize,
+    /// Per-slot "has a row" flags, one byte each (0 or 1).
+    mapped: &'a [u8],
+    /// Row boundaries, little-endian `u32`.
+    row_ptr: &'a [u8],
+    /// Resource index of every non-zero entry, little-endian `u32`.
+    cols: &'a [u8],
+    /// Usage value of every non-zero entry, little-endian `f64` bits.
+    vals: &'a [u8],
+}
+
+impl<'a> Csr<'a> {
+    /// The entry range of slot `index`, empty past the slot table.
+    #[inline]
+    fn range(&self, index: usize) -> std::ops::Range<usize> {
+        if index < self.mapped.len() {
+            le_u32(&self.row_ptr[4 * index..4 * index + 4]) as usize
+                ..le_u32(&self.row_ptr[4 * index + 4..4 * index + 8]) as usize
+        } else {
+            0..0
+        }
+    }
+
+    fn row(self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + 'a {
+        let range = self.range(inst.index());
+        let cols = self.cols[4 * range.start..4 * range.end].chunks_exact(4);
+        let vals = self.vals[8 * range.start..8 * range.end].chunks_exact(8);
+        cols.zip(vals).map(|(col, val)| (le_u32(col), le_f64(val)))
+    }
+
+    /// The hot loop: one `count × usage` accumulation per stored entry of
+    /// every instruction in the kernel.
+    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
+        scratch.clear();
+        scratch.resize(self.num_resources, 0.0);
+        for &(inst, count) in kernel.as_slice() {
+            let range = self.range(inst.index());
+            let count = count as f64;
+            let cols = self.cols[4 * range.start..4 * range.end].chunks_exact(4);
+            let vals = self.vals[8 * range.start..8 * range.end].chunks_exact(8);
+            for (col, val) in cols.zip(vals) {
+                scratch[le_u32(col) as usize] += count * le_f64(val);
+            }
+        }
+    }
+
+    fn supports(&self, inst: InstId) -> bool {
+        self.mapped.get(inst.index()).is_some_and(|&m| m != 0)
+    }
+
+    fn num_instructions(&self) -> usize {
+        self.mapped.iter().filter(|&&m| m != 0).count()
+    }
+
+    fn num_entries(&self) -> usize {
+        self.cols.len() / 4
+    }
+}
+
 /// A conjunctive mapping compiled into flat arrays for allocation-free
 /// prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,35 +125,32 @@ pub struct CompiledModel {
     resource_names: Vec<String>,
     /// Whether the instruction at a given index has a row (an all-zero row
     /// still counts as mapped, exactly like the `BTreeMap` representation).
-    mapped: Vec<bool>,
-    /// CSR row boundaries, one entry per instruction index plus a sentinel.
-    row_ptr: Vec<u32>,
-    /// Resource index of every non-zero usage entry.
-    cols: Vec<u32>,
-    /// Usage value of every non-zero usage entry.
-    vals: Vec<f64>,
+    mapped: Vec<u8>,
+    row_ptr: Vec<u8>,
+    cols: Vec<u8>,
+    vals: Vec<u8>,
 }
 
 impl CompiledModel {
     /// Flattens `mapping` into its compiled form under a display name.
     pub fn compile(name: impl Into<String>, mapping: &ConjunctiveMapping) -> Self {
         let num_rows = mapping.instructions().last().map_or(0, |i| i.index() + 1);
-        let mut mapped = vec![false; num_rows];
-        let mut row_ptr = Vec::with_capacity(num_rows + 1);
+        let mut mapped = vec![0u8; num_rows];
+        let mut row_ptr = Vec::with_capacity(4 * (num_rows + 1));
         let mut cols = Vec::new();
         let mut vals = Vec::new();
-        row_ptr.push(0u32);
+        row_ptr.extend_from_slice(&0u32.to_le_bytes());
         for (index, is_mapped) in mapped.iter_mut().enumerate() {
             if let Some(usage) = mapping.usage_vector(InstId(index as u32)) {
-                *is_mapped = true;
+                *is_mapped = 1;
                 for (r, &value) in usage.iter().enumerate() {
                     if value != 0.0 {
-                        cols.push(r as u32);
-                        vals.push(value);
+                        cols.extend_from_slice(&(r as u32).to_le_bytes());
+                        vals.extend_from_slice(&value.to_bits().to_le_bytes());
                     }
                 }
             }
-            row_ptr.push(cols.len() as u32);
+            row_ptr.extend_from_slice(&((cols.len() / 4) as u32).to_le_bytes());
         }
         CompiledModel {
             name: name.into(),
@@ -89,29 +162,19 @@ impl CompiledModel {
         }
     }
 
-    /// Rebuilds a compiled model from already-validated raw CSR arrays (the
-    /// binary artifact codec's verbatim load path).  Callers must uphold the
-    /// [`CompiledModel::compile`] invariants: `row_ptr` has `mapped.len() + 1`
-    /// monotone entries ending at `cols.len()`, `cols` are ascending within a
-    /// row and index into `resource_names`, and unmapped slots have empty
-    /// rows.
-    pub(crate) fn from_raw_parts(
-        name: String,
-        resource_names: Vec<String>,
-        mapped: Vec<bool>,
-        row_ptr: Vec<u32>,
-        cols: Vec<u32>,
-        vals: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(row_ptr.len(), mapped.len() + 1);
-        debug_assert_eq!(cols.len(), vals.len());
-        debug_assert_eq!(row_ptr.last().copied(), Some(cols.len() as u32));
-        CompiledModel { name, resource_names, mapped, row_ptr, cols, vals }
+    fn csr(&self) -> Csr<'_> {
+        Csr {
+            num_resources: self.resource_names.len(),
+            mapped: &self.mapped,
+            row_ptr: &self.row_ptr,
+            cols: &self.cols,
+            vals: &self.vals,
+        }
     }
 
-    /// The raw CSR arrays `(mapped, row_ptr, cols, vals)`, for verbatim
-    /// binary serialisation.
-    pub(crate) fn raw_parts(&self) -> (&[bool], &[u32], &[u32], &[f64]) {
+    /// The arena's v2b sections `(mapped, row_ptr, cols, vals)`, for
+    /// verbatim binary serialisation.
+    pub(crate) fn raw_parts(&self) -> (&[u8], &[u8], &[u8], &[u8]) {
         (&self.mapped, &self.row_ptr, &self.cols, &self.vals)
     }
 
@@ -122,12 +185,12 @@ impl CompiledModel {
 
     /// Number of mapped instructions.
     pub fn num_instructions(&self) -> usize {
-        self.mapped.iter().filter(|&&m| m).count()
+        self.csr().num_instructions()
     }
 
     /// Number of non-zero `(instruction, resource)` usage entries.
     pub fn num_entries(&self) -> usize {
-        self.vals.len()
+        self.csr().num_entries()
     }
 
     /// Name of a resource.
@@ -135,74 +198,10 @@ impl CompiledModel {
         &self.resource_names[r.index()]
     }
 
-    /// A scratch buffer sized for this model, for the `_with` entry points.
-    pub fn scratch(&self) -> Vec<f64> {
-        vec![0.0; self.num_resources()]
-    }
-
     /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
     /// ascending resource order.  Empty for unmapped instructions.
     pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let range = if inst.index() + 1 < self.row_ptr.len() {
-            self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
-        } else {
-            0..0
-        };
-        self.cols[range.clone()].iter().copied().zip(self.vals[range].iter().copied())
-    }
-
-    /// Writes the per-resource load of one kernel iteration into `scratch`
-    /// (cleared and resized as needed).  Allocation-free once the buffer has
-    /// the right capacity.
-    pub fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        scratch.clear();
-        scratch.resize(self.num_resources(), 0.0);
-        for &(inst, count) in kernel.as_slice() {
-            let index = inst.index();
-            if index >= self.mapped.len() {
-                continue;
-            }
-            let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
-            let count = count as f64;
-            for (col, val) in self.cols[start..end].iter().zip(&self.vals[start..end]) {
-                scratch[*col as usize] += count * val;
-            }
-        }
-    }
-
-    /// Execution time `t(K)` of one loop iteration (Def. IV.2).
-    pub fn execution_time_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> f64 {
-        self.load_into(kernel, scratch);
-        scratch.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Throughput (IPC) of a microkernel (Def. IV.3), bit-identical to
-    /// [`ConjunctiveMapping::ipc`].
-    pub fn ipc_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> Option<f64> {
-        let t = self.execution_time_with(kernel, scratch);
-        if t <= 0.0 {
-            None
-        } else {
-            Some(kernel.total_instructions() as f64 / t)
-        }
-    }
-
-    /// The resource that bottlenecks `kernel`, together with its load.
-    pub fn bottleneck_with(
-        &self,
-        kernel: &Microkernel,
-        scratch: &mut Vec<f64>,
-    ) -> Option<(ResourceId, f64)> {
-        self.load_into(kernel, scratch);
-        let (idx, &max) = scratch
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))?;
-        if max > 0.0 {
-            Some((ResourceId(idx as u32), max))
-        } else {
-            None
-        }
+        self.csr().row(inst)
     }
 }
 
@@ -212,12 +211,12 @@ impl ThroughputPredictor for CompiledModel {
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.mapped.get(inst.index()).copied().unwrap_or(false)
+        self.csr().supports(inst)
     }
 
     /// Trait-object entry point, backed by a thread-local scratch buffer so
     /// it stays allocation-free per call.  Explicit hot paths should still
-    /// prefer [`CompiledModel::ipc_with`] or a [`BatchPredictor`] (see
+    /// prefer [`KernelLoad::ipc_with`] or a [`BatchPredictor`] (see
     /// [`crate::batch`]).
     ///
     /// [`BatchPredictor`]: crate::BatchPredictor
@@ -227,11 +226,11 @@ impl ThroughputPredictor for CompiledModel {
 }
 
 /// The allocation-free CSR serving interface, shared by the owned
-/// [`CompiledModel`], the borrowed [`CompiledModelRef`] and the
-/// [`ModelView`] that wraps whichever a load produced.  The batch engine
+/// [`CompiledModel`], the borrowed [`CompiledModelRef`] and the disjunctive
+/// [`CompiledDisjModel`](crate::CompiledDisjModel).  The batch engine
 /// ([`BatchPredictor`](crate::BatchPredictor)) is generic over it, so the
-/// whole post-inference data plane serves owned and borrowed models through
-/// one code path.
+/// whole post-inference data plane serves every model through one code
+/// path.
 ///
 /// The provided combinators reproduce the exact arithmetic of
 /// [`ConjunctiveMapping::ipc`] and friends, so any implementor whose
@@ -298,11 +297,11 @@ pub trait KernelLoad {
 
 impl KernelLoad for CompiledModel {
     fn num_resources(&self) -> usize {
-        CompiledModel::num_resources(self)
+        self.resource_names.len()
     }
 
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        CompiledModel::load_into(self, kernel, scratch)
+        self.csr().load_into(kernel, scratch)
     }
 }
 
@@ -317,52 +316,51 @@ impl<M: KernelLoad + ?Sized> KernelLoad for &M {
 }
 
 /// A compiled model borrowed straight from validated `PALMED-MODEL v2b`
-/// artifact bytes — the zero-copy serving load.
+/// artifact bytes — the zero-copy serving form.
 ///
-/// The CSR structure is identical to [`CompiledModel`]'s, but nothing is
-/// copied: `row_ptr` and `cols` are aligned little-endian `u32` slices
-/// aliasing the buffer, usage values are read as `f64` bit patterns in
-/// place, and names borrow the buffer's UTF-8.  Construction goes through
-/// [`ModelView::parse_v2`] (standalone buffers) or
-/// [`ModelRegistry::load_file_serving`](crate::ModelRegistry::load_file_serving)
-/// (a registry entry that retains the bytes); both validate exactly once —
-/// checksum, structure, value ranges — so every accessor here is
-/// panic-free on the ranges the validator pinned.
-///
-/// Predictions are bit-identical to the owned path: the hot loop performs
-/// the same additions in the same order, only the loads come from the
-/// artifact bytes instead of copied arrays.
+/// The arena is [`CompiledModel`]'s, byte for byte, but nothing is copied:
+/// the CSR sections alias the buffer and names borrow its UTF-8.  The
+/// buffer may sit at any address.  Construction goes through
+/// [`CompiledModelRef::parse_v2`] (standalone buffers) or a registry entry
+/// that retains the bytes
+/// ([`ServingModel::view`](crate::ServingModel::view)); both validate
+/// exactly once — checksum, structure, value ranges — so every accessor
+/// here is panic-free on the ranges the validator pinned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModelRef<'a> {
     name: &'a str,
     resource_names: Vec<&'a str>,
-    /// Per-slot "has a row" flags, one byte each (0 or 1), aliasing the
-    /// artifact's flag bytes directly.
-    mapped: &'a [u8],
-    /// CSR row boundaries, one entry per instruction index plus a sentinel.
-    row_ptr: &'a [u32],
-    /// Resource index of every non-zero usage entry.
-    cols: &'a [u32],
-    /// Usage values as raw little-endian `f64` bit patterns, 8 bytes per
-    /// entry — read bytewise, so no alignment requirement.
-    vals: &'a [u8],
+    csr: Csr<'a>,
 }
 
 impl<'a> CompiledModelRef<'a> {
-    /// Assembles a view from already-validated parts (the binary codec's
-    /// alignment-checked load path).
+    /// Assembles a view from already-validated v2b sections.
     pub(crate) fn from_parts(
         name: &'a str,
         resource_names: Vec<&'a str>,
         mapped: &'a [u8],
-        row_ptr: &'a [u32],
-        cols: &'a [u32],
+        row_ptr: &'a [u8],
+        cols: &'a [u8],
         vals: &'a [u8],
     ) -> Self {
-        debug_assert_eq!(row_ptr.len(), mapped.len() + 1);
-        debug_assert_eq!(vals.len(), cols.len() * 8);
-        debug_assert_eq!(row_ptr.last().copied(), Some(cols.len() as u32));
-        CompiledModelRef { name, resource_names, mapped, row_ptr, cols, vals }
+        debug_assert_eq!(row_ptr.len(), 4 * (mapped.len() + 1));
+        debug_assert_eq!(vals.len(), 2 * cols.len());
+        let csr = Csr { num_resources: resource_names.len(), mapped, row_ptr, cols, vals };
+        CompiledModelRef { name, resource_names, csr }
+    }
+
+    /// Validates a `PALMED-MODEL v2b` buffer and borrows its compiled model
+    /// in place, wherever the buffer sits in memory.  Corruption, truncation
+    /// and structural violations are rejected exactly like
+    /// [`ModelArtifact::parse_v2`](crate::ModelArtifact::parse_v2) — the
+    /// two share one validator.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ArtifactError`] on any layout violation, truncation or
+    /// checksum mismatch; never panics on untrusted input.
+    pub fn parse_v2(bytes: &'a [u8]) -> Result<Self, ArtifactError> {
+        Ok(crate::binfmt::validate(bytes)?.index.view(bytes))
     }
 
     /// Display name of the model (the machine token).
@@ -372,12 +370,12 @@ impl<'a> CompiledModelRef<'a> {
 
     /// Number of mapped instructions.
     pub fn num_instructions(&self) -> usize {
-        self.mapped.iter().filter(|&&m| m != 0).count()
+        self.csr.num_instructions()
     }
 
     /// Number of non-zero `(instruction, resource)` usage entries.
     pub fn num_entries(&self) -> usize {
-        self.cols.len()
+        self.csr.num_entries()
     }
 
     /// Name of a resource.
@@ -385,37 +383,10 @@ impl<'a> CompiledModelRef<'a> {
         self.resource_names[r.index()]
     }
 
-    /// The usage value of entry `e`, decoded from its stored bit pattern.
-    #[inline]
-    fn val(&self, e: usize) -> f64 {
-        f64::from_bits(u64::from_le_bytes(
-            self.vals[8 * e..8 * e + 8].try_into().expect("8 bytes per value"),
-        ))
-    }
-
     /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
     /// ascending resource order.  Empty for unmapped instructions.
-    pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let range = if inst.index() + 1 < self.row_ptr.len() {
-            self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
-        } else {
-            0..0
-        };
-        range.clone().map(move |e| (self.cols[e], self.val(e)))
-    }
-
-    /// Copies the borrowed arrays into an owned [`CompiledModel`] — the
-    /// escape hatch when the view must outlive its buffer (and what the
-    /// parse entry points fall back to on misaligned input).
-    pub fn to_owned(&self) -> CompiledModel {
-        CompiledModel::from_raw_parts(
-            self.name.to_string(),
-            self.resource_names.iter().map(|n| n.to_string()).collect(),
-            self.mapped.iter().map(|&m| m != 0).collect(),
-            self.row_ptr.to_vec(),
-            self.cols.to_vec(),
-            (0..self.cols.len()).map(|e| self.val(e)).collect(),
-        )
+    pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + 'a {
+        self.csr.row(inst)
     }
 }
 
@@ -424,22 +395,8 @@ impl KernelLoad for CompiledModelRef<'_> {
         self.resource_names.len()
     }
 
-    /// The same hot loop as [`CompiledModel::load_into`], bit for bit — only
-    /// the usage values are decoded from their stored bit patterns in place.
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        scratch.clear();
-        scratch.resize(self.resource_names.len(), 0.0);
-        for &(inst, count) in kernel.as_slice() {
-            let index = inst.index();
-            if index >= self.mapped.len() {
-                continue;
-            }
-            let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
-            let count = count as f64;
-            for e in start..end {
-                scratch[self.cols[e] as usize] += count * self.val(e);
-            }
-        }
+        self.csr.load_into(kernel, scratch)
     }
 }
 
@@ -449,98 +406,13 @@ impl ThroughputPredictor for CompiledModelRef<'_> {
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.mapped.get(inst.index()).copied().unwrap_or(0) != 0
+        self.csr.supports(inst)
     }
 
     /// Trait-object entry point, backed by the same thread-local scratch
     /// buffer as the owned model, so it stays allocation-free per call.
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
         LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
-    }
-}
-
-/// The result of a v2b serving load: a zero-copy [`CompiledModelRef`] when
-/// the buffer can back one, an owned [`CompiledModel`] otherwise (unaligned
-/// integer arrays, or a big-endian target).  Either way it serves through
-/// the same [`KernelLoad`] interface with bit-identical predictions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelView<'a> {
-    /// Zero-copy view borrowing the artifact bytes.
-    Borrowed(CompiledModelRef<'a>),
-    /// Owned fallback (a misaligned buffer forced the copy).
-    Owned(Cow<'a, CompiledModel>),
-}
-
-impl<'a> ModelView<'a> {
-    /// Validates a `PALMED-MODEL v2b` buffer and returns the best available
-    /// view of its compiled model: borrowed when the buffer's integer arrays
-    /// are aligned (and the target is little-endian), an owned copy
-    /// otherwise.  One validation pass either way — corruption, truncation
-    /// and structural violations are rejected exactly like
-    /// [`ModelArtifact::parse_v2`](crate::ModelArtifact::parse_v2).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArtifactError`] on any layout violation, truncation or
-    /// checksum mismatch; never panics on untrusted input.
-    pub fn parse_v2(bytes: &'a [u8]) -> Result<ModelView<'a>, ArtifactError> {
-        let validated = crate::binfmt::validate(bytes)?;
-        Ok(match validated.index.view(bytes) {
-            Some(view) => ModelView::Borrowed(view),
-            None => ModelView::Owned(Cow::Owned(validated.index.to_compiled(bytes))),
-        })
-    }
-
-    /// True when the view borrows the artifact bytes (the zero-copy path).
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self, ModelView::Borrowed(_))
-    }
-
-    /// Extracts an owned model, copying the arrays only if still borrowed.
-    pub fn into_owned(self) -> CompiledModel {
-        match self {
-            ModelView::Borrowed(view) => view.to_owned(),
-            ModelView::Owned(model) => model.into_owned(),
-        }
-    }
-}
-
-impl KernelLoad for ModelView<'_> {
-    fn num_resources(&self) -> usize {
-        match self {
-            ModelView::Borrowed(view) => KernelLoad::num_resources(view),
-            ModelView::Owned(model) => model.num_resources(),
-        }
-    }
-
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        match self {
-            ModelView::Borrowed(view) => view.load_into(kernel, scratch),
-            ModelView::Owned(model) => model.load_into(kernel, scratch),
-        }
-    }
-}
-
-impl ThroughputPredictor for ModelView<'_> {
-    fn name(&self) -> &str {
-        match self {
-            ModelView::Borrowed(view) => view.name,
-            ModelView::Owned(model) => ThroughputPredictor::name(model.as_ref()),
-        }
-    }
-
-    fn supports(&self, inst: InstId) -> bool {
-        match self {
-            ModelView::Borrowed(view) => ThroughputPredictor::supports(view, inst),
-            ModelView::Owned(model) => ThroughputPredictor::supports(model.as_ref(), inst),
-        }
-    }
-
-    fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        match self {
-            ModelView::Borrowed(view) => view.predict_ipc(kernel),
-            ModelView::Owned(model) => model.predict_ipc(kernel),
-        }
     }
 }
 

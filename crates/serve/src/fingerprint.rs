@@ -3,8 +3,8 @@
 //! The codecs' checksums prove the **bytes** arrived intact; they say nothing
 //! about whether two differently-encoded artifacts — a v1 text file and its
 //! v2b migration, an owned [`CompiledModel`](crate::CompiledModel) and a
-//! zero-copy [`ModelView`](crate::ModelView) over mapped bytes — are the
-//! *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
+//! zero-copy [`CompiledModelRef`](crate::CompiledModelRef) over mapped
+//! bytes — are the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
 //! the bit patterns of the model's IPC predictions on a pinned, deterministic
 //! probe corpus, so any two loads that predict bit-identically fingerprint
 //! identically, across load modes, formats, refactors and replicas.
@@ -355,7 +355,7 @@ mod tests {
         let from_v2 = crate::ModelArtifact::parse_v2(&bytes).unwrap();
         assert_eq!(from_v2.fingerprint(), expected);
         // Zero-copy view over the same bytes.
-        let view = crate::ModelView::parse_v2(&bytes).unwrap();
+        let view = crate::CompiledModelRef::parse_v2(&bytes).unwrap();
         assert_eq!(view.fingerprint(n), expected);
         // A different model fingerprints differently.
         let mut other = artifact.clone();

@@ -29,7 +29,7 @@ pub struct FileMeta {
     pub len: u64,
 }
 
-/// A whole file's bytes as handed to the serve-only load path: mapped when
+/// A whole file's bytes as handed to the mapped load path: mapped when
 /// the backend provides a mapping, heap-owned otherwise.  The public face
 /// of the crate-private `FileBuf`, so [`ArtifactIo`] implementations
 /// outside this crate (fault injectors, future network fetchers) can
@@ -74,7 +74,7 @@ impl fmt::Debug for IoBuf {
 /// File access as the registry consumes it.  Three operations cover every
 /// touch the refresh loop makes: metadata polls ([`ArtifactIo::stat`]),
 /// whole-file reads ([`ArtifactIo::read`]), and mapped opens for the
-/// serve-only zero-copy path ([`ArtifactIo::open_buf`]).
+/// `mmap(2)`-backed load mode ([`ArtifactIo::open_buf`]).
 ///
 /// Implementations must be usable from several threads (`Send + Sync`): the
 /// registry is shared as `Arc<ModelRegistry>` and refresh may run on any of

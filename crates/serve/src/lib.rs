@@ -12,11 +12,13 @@
 //!   and a binary form (v2b, the fast load path).  Hand-rolled writers and
 //!   parsers — no serde; loading sniffs the format from the first bytes.
 //! * [`compiled`] — [`CompiledModel`]: the mapping flattened into a CSR-style
-//!   arena (one flat `(resource, usage)` row slice per instruction, dense
-//!   resource indices) predicting IPC allocation-free through a
-//!   caller-provided scratch buffer; [`CompiledModelRef`], the same arena
-//!   borrowed zero-copy from v2b artifact bytes; and [`KernelLoad`], the
-//!   serving interface both implement.  Predictions are **bit-identical** to
+//!   arena in the v2b byte layout (one flat `(resource, usage)` row slice
+//!   per instruction, dense resource indices) predicting IPC
+//!   allocation-free through a caller-provided scratch buffer;
+//!   [`CompiledModelRef`], the same arena borrowed zero-copy from v2b
+//!   artifact bytes at any address; and [`KernelLoad`], the serving
+//!   interface both implement through one hot loop.  Predictions are
+//!   **bit-identical** to
 //!   [`ConjunctiveMapping::ipc`](palmed_core::ConjunctiveMapping::ipc).
 //! * [`batch`] — [`BatchPredictor`]: dedupes identical microkernels into a
 //!   reusable [`PreparedBatch`] backed by a shared
@@ -48,15 +50,23 @@
 //!
 //! # Load modes
 //!
-//! Two model families, four ways to load them, ordered by how much work
-//! start-up does:
+//! Two model families, four ways to load them.  Every conjunctive registry
+//! entry ends up in one form — validated v2b bytes read through a borrowed
+//! [`CompiledModelRef`] — and the modes differ only in how the bytes get
+//! there:
 //!
-//! | mode | family | entry points | cost at load |
-//! |------|--------|--------------|--------------|
-//! | **v1 text** (interchange/debug) | conjunctive | [`ModelArtifact::parse`], [`ModelRegistry::load_file`] | parse every decimal, rebuild rows, compile |
-//! | **v2b owned** (validate-and-copy) | conjunctive | [`ModelArtifact::parse_v2`], [`ModelRegistry::load_file`] | validate, copy CSR arrays, rebuild dense rows |
-//! | **v2b serve-only** (zero-copy) | conjunctive | [`ModelRegistry::load_file_serving`], [`ModelRegistry::load_file_mapped`] (`mmap(2)`-backed), [`ModelView::parse_v2`] | validate only |
-//! | **disj** (eager) | disjunctive | [`DisjArtifact::parse`], [`ModelRegistry::load_file`] | validate, copy µOP rows (disjunctive models are tiny) |
+//! | mode | family | registry entry points | cost at load |
+//! |------|--------|-----------------------|--------------|
+//! | **v1 text**, migrated at load | conjunctive | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | parse every decimal, render v2b, validate |
+//! | **v2b heap** | conjunctive | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate only |
+//! | **v2b mmap** | conjunctive | [`ModelRegistry::load_file_mapped`] (`mmap(2)` where the platform allows) | validate only, zero heap copies |
+//! | **disj** (eager) | disjunctive | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate, copy µOP rows (disjunctive models are tiny) |
+//!
+//! [`ModelRegistry::register`] renders an in-memory artifact straight to
+//! v2b.  Outside the registry, [`ModelArtifact::parse_bytes`] decodes either
+//! conjunctive format into an artifact with its dense mapping built eagerly
+//! (what training-side tools compare and re-render), and
+//! [`CompiledModelRef::parse_v2`] borrows a standalone v2b buffer.
 //!
 //! Every stat, read and mapped open behind these modes goes through the
 //! [`ArtifactIo`] seam ([`io`]): [`RealIo`] (the default) forwards to
@@ -65,15 +75,17 @@
 //! `palmed-fuzz` scripts short reads, transient errors, torn snapshots and
 //! mtime flapping through it to fuzz the whole refresh loop.
 //!
-//! The serve-only load is O(validate): the artifact bytes are retained and
-//! predictions run through a borrowed [`CompiledModelRef`] aliasing them (an
-//! owned copy is the automatic fallback when the buffer cannot back an
-//! aligned view).  The artifact's dense
+//! A v2b load is O(validate): the artifact bytes are retained and
+//! predictions run through a borrowed [`CompiledModelRef`] aliasing them.
+//! The view reads every word bytewise, so it exists at any buffer address
+//! and on any endianness — there is no alignment rule and no owned
+//! fallback.  A v1 load pays its text parse once, then serves from the
+//! rendered v2b bytes exactly like a v2b load.  The artifact's dense
 //! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) — which the
-//! serving path never reads — is **lazy**: [`ModelArtifact::mapping`]
-//! rebuilds it from the retained bytes on first access and caches it;
-//! [`ModelArtifact::mapping_ready`] tells whether that has happened.
-//! All modes of a family predict bit-identically.
+//! serving path never reads — is **lazy** for every entry:
+//! [`ModelArtifact::mapping`] rebuilds it from the retained bytes on first
+//! access and caches it; [`ModelArtifact::mapping_ready`] tells whether
+//! that has happened.  All modes of a family predict bit-identically.
 //!
 //! # Versions and migration
 //!
@@ -88,7 +100,11 @@
 //!
 //! The two conjunctive forms are mutually lossless: migrating in either
 //! direction reproduces the artifact bit for bit (round trips are asserted
-//! by the codec property tests).  Crossing families is **not** a migration:
+//! by the codec property tests).  The registry relies on that: it migrates
+//! every v1 artifact it loads to v2b, serves from the v2b bytes, and still
+//! reports the entry's sniffed kind ([`ModelKind::ConjunctiveV1`]), so an
+//! operator sees what is on disk while the serving path sees one form.
+//! Crossing families is **not** a migration:
 //! a conjunctive mapping has collapsed the port choice away and cannot
 //! recover port sets, and flattening a disjunctive mapping into conjunctive
 //! resources changes the model class (that flattening is the inference
@@ -120,8 +136,9 @@
 //! # Model artifact format (`PALMED-MODEL v2b`)
 //!
 //! Length-prefixed little-endian binary; the same model as v1, laid out so a
-//! load is a validate-and-copy of the [`CompiledModel`] CSR arrays (every
-//! `f64` is its raw bit pattern — no float parsing, no re-derivation).  A
+//! load is a validate pass over the [`CompiledModel`] CSR arrays, which are
+//! then served in place (every `f64` is its raw bit pattern — no float
+//! parsing, no re-derivation; arrays need no alignment).  A
 //! v1↔v2 round trip reproduces the artifact bit for bit.  Strings are a
 //! `u32` byte length followed by UTF-8; class/extension codes index
 //! [`ExecClass::ALL`](palmed_isa::ExecClass::ALL) /
@@ -302,7 +319,7 @@ pub mod sign;
 pub use artifact::{ArtifactError, ModelArtifact};
 pub use batch::{BatchPredictor, BatchResult, PreparedBatch};
 pub use codec::{migrate_v1_to_v2b, ModelKind};
-pub use compiled::{CompiledModel, CompiledModelRef, KernelLoad, ModelView};
+pub use compiled::{CompiledModel, CompiledModelRef, KernelLoad};
 pub use corpus::{Corpus, CorpusBlock, CorpusError};
 pub use disj::{CompiledDisjModel, DisjArtifact, DisjUop};
 pub use fingerprint::{
@@ -311,6 +328,6 @@ pub use fingerprint::{
 };
 pub use io::{ArtifactIo, FileMeta, IoBuf, RealIo};
 pub use registry::{
-    EntryHealth, LoadMode, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus,
-    RegistryEntry, RegistrySnapshot, ServedDisjModel, ServedModel, ServingModel,
+    EntryHealth, LoadMode, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry,
+    RegistrySnapshot, ServedDisjModel, ServingModel,
 };

@@ -1,6 +1,6 @@
-//! A minimal read-only `mmap(2)` shim for serve-only artifact loads.
+//! A minimal read-only `mmap(2)` shim for mapped artifact loads.
 //!
-//! The zero-copy serving path only needs a `&[u8]` over the artifact file;
+//! The zero-copy serving form only needs a `&[u8]` over the artifact file;
 //! on 64-bit Unix targets that buffer can be the page cache itself.  This
 //! module binds `mmap`/`munmap` directly (no crates — the workspace is
 //! offline), wraps the mapping in an RAII [`Mapping`], and exposes

@@ -7,13 +7,13 @@
 //! [`ModelRegistry`] is built for that shape:
 //!
 //! * **Polymorphic entries.**  Every entry is a [`RegistryEntry`] tagging a
-//!   [`ModelKind`] (family + format, reported per entry) around one of three
-//!   model payloads: a full conjunctive [`ServedModel`] (artifact + owned
-//!   compiled form), a zero-copy conjunctive [`ServingModel`] (retained
-//!   `v2b` bytes — heap or `mmap(2)`-backed — served through a borrowed
-//!   view), or a disjunctive [`ServedDisjModel`] (a PMEvo-style port
-//!   mapping, loaded from a `PALMED-DISJ v1` artifact instead of re-evolved
-//!   per campaign).  [`ModelRegistry::load_file`] sniffs the format.
+//!   [`ModelKind`] (family + format, reported per entry) around one model
+//!   payload per family: a conjunctive [`ServingModel`] (validated `v2b`
+//!   bytes — heap or `mmap(2)`-backed — served through a borrowed view;
+//!   v1 text is migrated to `v2b` at load) or a disjunctive
+//!   [`ServedDisjModel`] (a PMEvo-style port mapping, loaded from a
+//!   `PALMED-DISJ v1` artifact instead of re-evolved per campaign).
+//!   [`ModelRegistry::load_file`] sniffs the format.
 //! * **Atomic generation swap.**  The registry state is one immutable
 //!   snapshot behind `RwLock<Arc<_>>`: readers take the lock only long
 //!   enough to clone an `Arc` ([`ModelRegistry::snapshot`] /
@@ -45,12 +45,12 @@
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::batch::BatchPredictor;
-use crate::binfmt::{self, ArtifactBytes};
+use crate::binfmt;
 use crate::codec::ModelKind;
-use crate::compiled::{CompiledModel, CompiledModelRef, ModelView};
+use crate::compiled::CompiledModelRef;
 use crate::disj::{CompiledDisjModel, DisjArtifact};
 use crate::io::{ArtifactIo, RealIo};
-use std::borrow::Cow;
+use crate::mmap::FileBuf;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,117 +71,48 @@ pub const MAX_BACKOFF_POLLS: u32 = 16;
 /// [`ArtifactError::TornRead`].
 const TORN_READ_RETRIES: u32 = 3;
 
-/// A registered full conjunctive model: the artifact plus its compiled form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedModel {
-    /// The self-describing artifact (instruction set, mapping, provenance).
-    pub artifact: ModelArtifact,
-    /// The compiled predictor built from the artifact.
-    pub compiled: CompiledModel,
-}
-
-impl ServedModel {
-    /// Compiles an artifact into a servable entry.
-    pub fn from_artifact(artifact: ModelArtifact) -> Self {
-        let compiled = artifact.compile();
-        ServedModel { artifact, compiled }
-    }
-
-    /// Pairs an artifact with an already-built compiled form (the binary
-    /// artifact codec hands the CSR arrays over verbatim, skipping the
-    /// compile step).
-    pub fn from_parts(artifact: ModelArtifact, compiled: CompiledModel) -> Self {
-        ServedModel { artifact, compiled }
-    }
-
-    /// A batch predictor over the compiled model.
-    pub fn batch(&self) -> BatchPredictor<&CompiledModel> {
-        BatchPredictor::new(&self.compiled)
-    }
-}
-
-/// A serve-only registry entry: the validated `v2b` artifact bytes, served
-/// zero-copy through a borrowed [`CompiledModelRef`].
+/// A conjunctive registry entry: validated `PALMED-MODEL v2b` bytes, served
+/// zero-copy through a borrowed [`CompiledModelRef`] — the one form every
+/// conjunctive install takes (v1 text is migrated to v2b first).
 ///
 /// The artifact's instruction set is materialised (corpus loading needs the
 /// name index) but its dense mapping stays deferred — the first
 /// [`ModelArtifact::mapping`] access rebuilds it from the retained bytes.
-/// The retained buffer is either heap-owned (re-based once if needed so the
-/// integer arrays are aligned) or an `mmap(2)` of the artifact file
-/// ([`ModelRegistry::load_file_mapped`]); either way the borrowed view is
-/// available for the lifetime of the entry on little-endian targets, and an
-/// owned model is materialised as a fallback elsewhere.
+/// The retained buffer is either heap-owned or an `mmap(2)` of the artifact
+/// file ([`ModelRegistry::load_file_mapped`]); the view reads it bytewise,
+/// so it serves from wherever the buffer sits.
 #[derive(Debug, Clone)]
 pub struct ServingModel {
     /// The self-describing artifact; its mapping stays deferred until first
     /// explicit access.
     pub artifact: ModelArtifact,
-    bytes: ArtifactBytes,
+    bytes: Arc<FileBuf>,
     index: binfmt::RawIndex,
-    /// Owned model for targets where a borrowed view cannot exist (big
-    /// endian); `None` on the zero-copy path.
-    fallback: Option<CompiledModel>,
 }
 
 impl ServingModel {
-    fn from_bytes(raw: Vec<u8>) -> Result<Self, ArtifactError> {
-        let validated = binfmt::validate(&raw)?;
-        let bytes = ArtifactBytes::aligned(raw, &validated.index);
-        Ok(Self::assemble(bytes, validated))
-    }
-
-    /// Serve-only load straight from a file through the registry's
-    /// [`ArtifactIo`]: `mmap(2)`-backed where the backend provides a
-    /// mapping, a heap read everywhere else (including every fault
-    /// injector).
-    fn from_file(io: &dyn ArtifactIo, path: &Path) -> Result<Self, ArtifactError> {
-        let buf = io.open_buf(path)?;
-        let validated = binfmt::validate(buf.as_slice())?;
-        let bytes = ArtifactBytes::from_file(buf.into_inner(), &validated.index);
-        Ok(Self::assemble(bytes, validated))
-    }
-
-    fn assemble(bytes: ArtifactBytes, validated: binfmt::Validated) -> Self {
-        let binfmt::Validated { instructions, index } = validated;
-        let slice = bytes.as_slice();
+    /// Validates a v2b buffer once and retains it as the model storage.
+    fn from_buf(buf: FileBuf) -> Result<Self, ArtifactError> {
+        let binfmt::Validated { instructions, index } = binfmt::validate(buf.as_slice())?;
+        let bytes = Arc::new(buf);
         let artifact = ModelArtifact::deferred(
-            index.machine(slice).to_string(),
-            index.source(slice).to_string(),
+            index.machine(bytes.as_slice()).to_string(),
+            index.source(bytes.as_slice()).to_string(),
             instructions,
-            bytes.clone(),
+            Arc::clone(&bytes),
             index.clone(),
         );
-        let fallback = match index.view(slice) {
-            Some(_) => None,
-            None => Some(index.to_compiled(slice)),
-        };
-        ServingModel { artifact, bytes, index, fallback }
+        Ok(ServingModel { artifact, bytes, index })
     }
 
-    /// The model view this entry serves through: borrowed from the retained
-    /// bytes wherever the target allows it, the owned fallback otherwise.
-    /// Predictions are bit-identical either way.
-    pub fn view(&self) -> ModelView<'_> {
-        match &self.fallback {
-            Some(model) => ModelView::Owned(Cow::Borrowed(model)),
-            // The buffer was aligned at load time and its backing block
-            // never moves, so the borrowed view remains constructible.
-            None => ModelView::Borrowed(
-                self.index.view(self.bytes.as_slice()).expect("buffer aligned at load"),
-            ),
-        }
-    }
-
-    /// The borrowed zero-copy view, when the target backs one.
-    pub fn borrowed(&self) -> Option<CompiledModelRef<'_>> {
-        match &self.fallback {
-            Some(_) => None,
-            None => self.index.view(self.bytes.as_slice()),
-        }
+    /// The zero-copy view this entry serves through, borrowing the retained
+    /// bytes.
+    pub fn view(&self) -> CompiledModelRef<'_> {
+        self.index.view(self.bytes.as_slice())
     }
 
     /// A batch predictor serving through [`ServingModel::view`].
-    pub fn batch(&self) -> BatchPredictor<ModelView<'_>> {
+    pub fn batch(&self) -> BatchPredictor<CompiledModelRef<'_>> {
         BatchPredictor::new(self.view())
     }
 
@@ -221,26 +152,53 @@ impl ServedDisjModel {
     }
 }
 
-/// The model payload of one registry entry: one of the three load shapes.
+/// The model payload of one registry entry, one variant per family.
 #[derive(Debug)]
 pub enum ModelEntry {
-    /// Full conjunctive entry (artifact + owned compiled form).
-    Conjunctive(ServedModel),
-    /// Serve-only conjunctive entry (retained `v2b` bytes, borrowed view).
+    /// Conjunctive entry (retained `v2b` bytes, borrowed view).
     ConjunctiveServing(ServingModel),
     /// Disjunctive entry (artifact + compiled port-mapping form).
     Disjunctive(ServedDisjModel),
 }
 
+impl ModelEntry {
+    /// Decodes one artifact buffer, sniffing its kind: v2b bytes are
+    /// validated and retained as they are, v1 text is migrated to v2b
+    /// first, and `PALMED-DISJ v1` becomes a disjunctive entry.
+    fn decode(buf: FileBuf) -> Result<(ModelKind, ModelEntry), ArtifactError> {
+        let kind = ModelKind::sniff(buf.as_slice());
+        let model = match kind {
+            ModelKind::ConjunctiveV2b => {
+                ModelEntry::ConjunctiveServing(ServingModel::from_buf(buf)?)
+            }
+            ModelKind::ConjunctiveV1 => {
+                let v2b = crate::codec::migrate_v1_to_v2b(buf.as_slice())?;
+                ModelEntry::ConjunctiveServing(ServingModel::from_buf(FileBuf::Heap(v2b))?)
+            }
+            ModelKind::DisjunctiveV1 => ModelEntry::Disjunctive(ServedDisjModel::from_artifact(
+                DisjArtifact::parse(buf.as_slice())?,
+            )),
+        };
+        Ok((kind, model))
+    }
+
+    /// The machine name stored in the artifact.
+    fn machine(&self) -> &str {
+        match self {
+            ModelEntry::ConjunctiveServing(m) => &m.artifact.machine,
+            ModelEntry::Disjunctive(m) => &m.artifact.machine,
+        }
+    }
+}
+
 /// How a file-backed entry is (re)loaded — what [`ModelRegistry::refresh`]
-/// replays when the file changes.
+/// replays when the file changes.  Both modes decode the same way; they
+/// differ only in where the retained bytes live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Eager load: full conjunctive or disjunctive entry, format sniffed.
+    /// The file is read into a heap buffer.
     Full,
-    /// Serve-only `v2b` load into a heap buffer.
-    Serving,
-    /// Serve-only `v2b` load, `mmap(2)`-backed where possible.
+    /// The file is `mmap(2)`-backed where the platform allows.
     Mapped,
 }
 
@@ -336,15 +294,7 @@ impl RegistryEntry {
         &self.model
     }
 
-    /// The full conjunctive model, when this entry holds one.
-    pub fn served(&self) -> Option<&ServedModel> {
-        match &self.model {
-            ModelEntry::Conjunctive(model) => Some(model),
-            _ => None,
-        }
-    }
-
-    /// The serve-only conjunctive model, when this entry holds one.
+    /// The conjunctive model, when this entry holds one.
     pub fn serving(&self) -> Option<&ServingModel> {
         match &self.model {
             ModelEntry::ConjunctiveServing(model) => Some(model),
@@ -734,26 +684,39 @@ impl ModelRegistry {
     }
 
     /// Registers a conjunctive artifact under its own machine name,
-    /// compiling it; replaces any previous model of that name and returns
-    /// the installed entry.  Memory-registered conjunctive entries report
+    /// rendering it to `v2b` — the form every conjunctive entry serves
+    /// from; replaces any previous model of that name and returns the
+    /// installed entry.  Memory-registered conjunctive entries report
     /// [`ModelKind::ConjunctiveV1`] — the family's canonical interchange
     /// form — since no on-disk format was involved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rendered artifact does not validate, which only
+    /// happens when two instruction names collide once whitespace is
+    /// replaced (names are stored as whitespace-free tokens).
     pub fn register(&self, artifact: ModelArtifact) -> Arc<RegistryEntry> {
         let name = artifact.machine.clone();
         self.register_as(name, artifact)
     }
 
     /// Registers a conjunctive artifact under an explicit name.
+    ///
+    /// # Panics
+    ///
+    /// As [`ModelRegistry::register`].
     pub fn register_as(
         &self,
         name: impl Into<String>,
         artifact: ModelArtifact,
     ) -> Arc<RegistryEntry> {
+        let serving = ServingModel::from_buf(FileBuf::Heap(artifact.render_v2()))
+            .expect("a rendered artifact validates");
         self.install(
             name.into(),
             ModelKind::ConjunctiveV1,
             None,
-            ModelEntry::Conjunctive(ServedModel::from_artifact(artifact)),
+            ModelEntry::ConjunctiveServing(serving),
         )
     }
 
@@ -769,29 +732,6 @@ impl ModelRegistry {
         )
     }
 
-    /// Builds the eager (mode-`Full`) model entry for a buffer, sniffing
-    /// the kind: conjunctive artifacts become full [`ServedModel`]s (v2b
-    /// hands its compiled form over verbatim), disjunctive artifacts become
-    /// [`ServedDisjModel`]s.
-    fn eager_entry(bytes: &[u8]) -> Result<(String, ModelKind, ModelEntry), ArtifactError> {
-        let kind = ModelKind::sniff(bytes);
-        match kind {
-            ModelKind::ConjunctiveV1 | ModelKind::ConjunctiveV2b => {
-                let (artifact, compiled) = ModelArtifact::parse_any(bytes)?;
-                let served = match compiled {
-                    Some(compiled) => ServedModel::from_parts(artifact, compiled),
-                    None => ServedModel::from_artifact(artifact),
-                };
-                Ok((served.artifact.machine.clone(), kind, ModelEntry::Conjunctive(served)))
-            }
-            ModelKind::DisjunctiveV1 => {
-                let artifact = DisjArtifact::parse(bytes)?;
-                let name = artifact.machine.clone();
-                Ok((name, kind, ModelEntry::Disjunctive(ServedDisjModel::from_artifact(artifact))))
-            }
-        }
-    }
-
     /// Loads a model entry from a file in the given mode — the shared core
     /// of first loads and refresh reloads.  The read is *stable* (re-stat
     /// after reading, retry on mismatch — see [`read_stable_with`]), the
@@ -803,39 +743,18 @@ impl ModelRegistry {
     /// is not the one that was deployed never installs.
     fn load_path(&self, path: &Path, mode: LoadMode) -> Result<Loaded, ArtifactError> {
         let io = self.io.as_ref();
-        let (source, name, kind, model) = match mode {
-            LoadMode::Full => {
-                let (source, bytes) = read_stable(io, path, mode)?;
-                let (name, kind, model) = Self::eager_entry(&bytes)?;
-                (source, name, kind, model)
-            }
-            LoadMode::Serving => {
-                let (source, bytes) = read_stable(io, path, mode)?;
-                let serving = ServingModel::from_bytes(bytes)?;
-                let name = serving.artifact.machine.clone();
-                (source, name, ModelKind::ConjunctiveV2b, ModelEntry::ConjunctiveServing(serving))
-            }
-            LoadMode::Mapped => {
-                // A mapping has no byte snapshot to length-check; stability
-                // is stat-before == stat-after around the validate pass.
-                // (Writers must replace mapped artifacts by atomic rename
-                // anyway — an in-place rewrite mutates a live mapping.)
-                let mut stable = None;
-                for _ in 0..TORN_READ_RETRIES {
-                    let before = SourceFile::observe(io, path, mode);
-                    let serving = ServingModel::from_file(io, path)?;
-                    let after = SourceFile::observe(io, path, mode);
-                    if before.mtime == after.mtime && before.len == after.len {
-                        stable = Some((before, serving));
-                        break;
-                    }
-                }
-                let (source, serving) = stable
-                    .ok_or_else(|| ArtifactError::TornRead { path: path.to_path_buf() })?;
-                let name = serving.artifact.machine.clone();
-                (source, name, ModelKind::ConjunctiveV2b, ModelEntry::ConjunctiveServing(serving))
-            }
-        };
+        let (source, buf) = read_stable_with(io, path, mode, |path| {
+            Ok(match mode {
+                LoadMode::Full => FileBuf::Heap(io.read(path)?),
+                // A mapping is checked like a heap read: stat before and
+                // after, length against the bytes seen.  (Writers must
+                // still replace mapped artifacts by atomic rename — an
+                // in-place rewrite mutates a live mapping.)
+                LoadMode::Mapped => io.open_buf(path)?.into_inner(),
+            })
+        })?;
+        let (kind, model) = ModelEntry::decode(buf)?;
+        let name = model.machine().to_string();
         let fingerprint = entry_fingerprint(&model);
         let sidecar = crate::fingerprint::read_sidecar_with(io, path)?;
         let keys = self.signing_keys.lock().expect("signing key lock").clone();
@@ -867,11 +786,11 @@ impl ModelRegistry {
 
     /// Loads, verifies and registers an artifact file under the machine
     /// name stored in the file.  The format is sniffed from the first
-    /// bytes: v1 text artifacts are compiled after parsing, v2b binary
-    /// artifacts hand their compiled CSR arrays over verbatim, and
-    /// `PALMED-DISJ v1` artifacts become disjunctive entries.  The entry
-    /// records the file's mtime/length, so [`ModelRegistry::refresh`] picks
-    /// up later rewrites.
+    /// bytes: `v2b` binary artifacts are validated and retained as they
+    /// are (O(validate): no array copies, the dense mapping deferred), v1
+    /// text artifacts are migrated to `v2b` first, and `PALMED-DISJ v1`
+    /// artifacts become disjunctive entries.  The entry records the file's
+    /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites.
     ///
     /// # Errors
     ///
@@ -881,32 +800,11 @@ impl ModelRegistry {
         Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Full)?))
     }
 
-    /// Loads a `v2b` artifact file as a serve-only entry: the bytes are
-    /// validated once and retained, predictions go through the borrowed
-    /// [`CompiledModelRef`] view, and the artifact's dense mapping rebuild
-    /// is deferred until first explicit access.  Start-up cost is
-    /// O(validate) — no CSR array copies, no dense row scatter.
-    ///
-    /// v1 text artifacts have no zero-copy form; loading one here fails
-    /// with [`ArtifactError::MissingHeader`] (use
-    /// [`ModelRegistry::load_file`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and v2b validation failures; the registry is left
-    /// unchanged on error.
-    pub fn load_file_serving(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Serving)?))
-    }
-
-    /// [`ModelRegistry::load_file_serving`] through `mmap(2)` where the
-    /// platform provides it (64-bit Unix; read-to-heap everywhere else):
-    /// the retained "buffer" is the page cache, so a serve-only load copies
-    /// no artifact byte at all unless the in-file array alignment forces a
-    /// one-time re-base.  Check [`ServingModel::is_mapped`] on the entry.
+    /// [`ModelRegistry::load_file`] through `mmap(2)` where the platform
+    /// provides it (64-bit Unix; read-to-heap everywhere else): a `v2b`
+    /// entry's retained "buffer" is then the page cache, so the load copies
+    /// no artifact byte at all.  Check [`ServingModel::is_mapped`] on the
+    /// entry.
     ///
     /// Replace watched files atomically (write + `rename`) — an in-place
     /// rewrite would mutate bytes under a live mapping (see the crate's
@@ -914,8 +812,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and v2b validation failures; the registry is left
-    /// unchanged on error.
+    /// Propagates I/O and codec failures; the registry is left unchanged on
+    /// error.
     pub fn load_file_mapped(
         &self,
         path: impl AsRef<Path>,
@@ -923,38 +821,15 @@ impl ModelRegistry {
         Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Mapped)?))
     }
 
-    /// [`ModelRegistry::load_file_serving`] over an in-memory buffer (e.g. a
-    /// network front-end handing over a fetched artifact).  Takes ownership:
-    /// the buffer *is* the model storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates v2b validation failures; the registry is left unchanged on
-    /// error.
-    pub fn load_serving_bytes(
-        &self,
-        bytes: Vec<u8>,
-    ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let serving = ServingModel::from_bytes(bytes)?;
-        let name = serving.artifact.machine.clone();
-        Ok(self.install(
-            name,
-            ModelKind::ConjunctiveV2b,
-            None,
-            ModelEntry::ConjunctiveServing(serving),
-        ))
-    }
-
     /// Hot-swaps the model under `name` from an in-memory buffer, installing
     /// a new generation without blocking in-flight readers (they keep their
     /// snapshot; the old entry stays valid until the last `Arc` drops).
     ///
-    /// The installed shape follows the sniffed format alone — `v2b` buffers
-    /// install serve-only (the natural hot-swap shape: validate-only,
-    /// zero-copy; use [`ModelRegistry::load_file`] for an eager conjunctive
-    /// entry), v1 text installs a full entry, `PALMED-DISJ v1` a
-    /// disjunctive one — so the decision never reads the current entry and
-    /// all decoding runs before the brief snapshot-swap lock.  The new
+    /// The buffer decodes exactly like a [`ModelRegistry::load_file`] body —
+    /// `v2b` is validated and retained (the buffer *is* the model storage),
+    /// v1 text is migrated to `v2b`, `PALMED-DISJ v1` installs a
+    /// disjunctive entry — so the decision never reads the current entry
+    /// and all decoding runs before the brief snapshot-swap lock.  The new
     /// entry is keyed under `name` regardless of the machine name inside
     /// the buffer, and no source file is watched afterwards (the bytes came
     /// from the caller, not disk).
@@ -967,16 +842,7 @@ impl ModelRegistry {
         name: impl Into<String>,
         bytes: Vec<u8>,
     ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let (kind, model) = match ModelKind::sniff(&bytes) {
-            ModelKind::ConjunctiveV2b => {
-                let serving = ServingModel::from_bytes(bytes)?;
-                (ModelKind::ConjunctiveV2b, ModelEntry::ConjunctiveServing(serving))
-            }
-            _ => {
-                let (_, kind, model) = Self::eager_entry(&bytes)?;
-                (kind, model)
-            }
-        };
+        let (kind, model) = ModelEntry::decode(FileBuf::Heap(bytes))?;
         let entry = self.install(name.into(), kind, None, model);
         palmed_obs::counter!("serve.registry.swaps").inc();
         palmed_obs::event!("registry.swap", key = entry.name(), generation = entry.generation());
@@ -1280,44 +1146,33 @@ struct Loaded {
 fn entry_fingerprint(model: &ModelEntry) -> u64 {
     use crate::compiled::KernelLoad;
     match model {
-        ModelEntry::Conjunctive(m) => m.compiled.fingerprint(m.artifact.instructions.len()),
         ModelEntry::ConjunctiveServing(m) => m.view().fingerprint(m.artifact.instructions.len()),
         ModelEntry::Disjunctive(m) => m.compiled.fingerprint(m.artifact.instructions.len()),
     }
 }
 
-/// Reads a watched file *stably*: stat, read, re-stat, and accept only when
-/// the metadata did not move under the read and the byte count matches the
-/// observed length.  A concurrent non-atomic writer makes the stats (or
-/// lengths) disagree; the read is retried up to [`TORN_READ_RETRIES`] times
-/// and then rejected as [`ArtifactError::TornRead`] — possibly-interleaved
-/// bytes are discarded even if they happen to validate.
-fn read_stable(
-    io: &dyn ArtifactIo,
-    path: &Path,
-    mode: LoadMode,
-) -> Result<(SourceFile, Vec<u8>), ArtifactError> {
-    read_stable_with(io, path, mode, |path| Ok(io.read(path)?))
-}
-
-/// [`read_stable`] over an injectable reader (unit tests race the reader
-/// against simulated writers without real filesystem timing; stats still go
-/// through `io`).
+/// Reads a watched file *stably* through `read` (a heap read or a mapped
+/// open): stat, read, re-stat, and accept only when the metadata did not
+/// move under the read and the byte count matches the observed length.  A
+/// concurrent non-atomic writer makes the stats (or lengths) disagree; the
+/// read is retried up to [`TORN_READ_RETRIES`] times and then rejected as
+/// [`ArtifactError::TornRead`] — possibly-interleaved bytes are discarded
+/// even if they happen to validate.
 fn read_stable_with(
     io: &dyn ArtifactIo,
     path: &Path,
     mode: LoadMode,
-    mut read: impl FnMut(&Path) -> Result<Vec<u8>, ArtifactError>,
-) -> Result<(SourceFile, Vec<u8>), ArtifactError> {
+    mut read: impl FnMut(&Path) -> Result<FileBuf, ArtifactError>,
+) -> Result<(SourceFile, FileBuf), ArtifactError> {
     for attempt in 1..=TORN_READ_RETRIES {
         let before = SourceFile::observe(io, path, mode);
-        let bytes = read(path)?;
+        let buf = read(path)?;
         let after = SourceFile::observe(io, path, mode);
         if before.mtime == after.mtime
             && before.len == after.len
-            && bytes.len() as u64 == before.len
+            && buf.as_slice().len() as u64 == before.len
         {
-            return Ok((before, bytes));
+            return Ok((before, buf));
         }
         palmed_obs::counter!("serve.registry.torn_read_retries").inc();
         palmed_obs::event!(
@@ -1344,7 +1199,6 @@ mod tests {
 
     fn ipc_of(entry: &RegistryEntry, k: &Microkernel) -> Option<f64> {
         match entry.model() {
-            ModelEntry::Conjunctive(m) => m.batch().predict(std::slice::from_ref(k)).ipcs[0],
             ModelEntry::ConjunctiveServing(m) => {
                 m.batch().predict(std::slice::from_ref(k)).ipcs[0]
             }
@@ -1365,7 +1219,7 @@ mod tests {
         let skl = registry.get("skl").unwrap();
         assert_eq!(skl.kind(), ModelKind::ConjunctiveV1);
         assert_eq!(skl.name(), "skl");
-        assert_eq!(skl.served().unwrap().compiled.num_instructions(), 1);
+        assert_eq!(skl.serving().unwrap().view().num_instructions(), 1);
         assert!(registry.get("m1").is_none());
     }
 
@@ -1391,30 +1245,66 @@ mod tests {
         let v1 = dir.join("palmed-serve-registry-v1.palmed");
         let v2 = dir.join("palmed-serve-registry-v2.palmed");
         let dj = dir.join("palmed-serve-registry-dj.palmed");
-        artifact("text-machine", 0.5).save(&v1).unwrap();
-        artifact("bin-machine", 0.5).save_v2(&v2).unwrap();
+        let original = artifact("sniffed", 0.5);
+        original.save(&v1).unwrap();
+        original.save_v2(&v2).unwrap();
         crate::disj::tests_support::example().save(&dj).unwrap();
         let registry = ModelRegistry::new();
-        registry.load_file(&v1).unwrap();
-        let served = registry.load_file(&v2).unwrap();
+
+        // Every conjunctive install path lands on the same entry: one
+        // retained-v2b serving form, the sniffed kind, the same
+        // fingerprint, a deferred mapping, bit-identical predictions.
+        let installs = [
+            ("register", registry.register(original.clone()), ModelKind::ConjunctiveV1),
+            ("load_file v1", registry.load_file(&v1).unwrap(), ModelKind::ConjunctiveV1),
+            ("load_file v2b", registry.load_file(&v2).unwrap(), ModelKind::ConjunctiveV2b),
+            (
+                "load_file_mapped",
+                registry.load_file_mapped(&v2).unwrap(),
+                ModelKind::ConjunctiveV2b,
+            ),
+            (
+                "swap_bytes v1",
+                registry.swap_bytes("sniffed", original.render().into_bytes()).unwrap(),
+                ModelKind::ConjunctiveV1,
+            ),
+            (
+                "swap_bytes v2b",
+                registry.swap_bytes("sniffed", original.render_v2()).unwrap(),
+                ModelKind::ConjunctiveV2b,
+            ),
+        ];
+        let owned = original.compile();
+        let kernels = [
+            Microkernel::single(InstId(2)),
+            Microkernel::pair(InstId(2), 3, InstId(0), 1),
+            Microkernel::single(InstId(0)),
+        ];
+        for (path, entry, kind) in &installs {
+            let serving = entry.serving().unwrap_or_else(|| panic!("{path}: not a serving entry"));
+            assert_eq!(entry.kind(), *kind, "{path}");
+            assert_eq!(entry.fingerprint(), original.fingerprint(), "{path}");
+            // Migrated v1 sources defer their mapping just like v2b ones.
+            assert!(!serving.artifact.mapping_ready(), "{path}");
+            assert!(serving.bytes().starts_with(b"PALMED-MODEL v2b\n"), "{path}");
+            for k in &kernels {
+                assert_eq!(
+                    ipc_of(entry, k).map(f64::to_bits),
+                    owned.ipc_with(k, &mut owned.scratch()).map(f64::to_bits),
+                    "{path}: {k}"
+                );
+            }
+            assert_eq!(serving.artifact, original, "{path}");
+        }
+
         let disj = registry.load_file(&dj).unwrap();
-        // The verbatim binary load equals what compiling the artifact yields.
-        let bin = served.served().unwrap();
-        assert_eq!(bin.compiled, bin.artifact.compile());
-        assert_eq!(served.kind(), ModelKind::ConjunctiveV2b);
-        assert_eq!(registry.get("text-machine").unwrap().kind(), ModelKind::ConjunctiveV1);
         assert_eq!(disj.kind(), ModelKind::DisjunctiveV1);
         assert_eq!(disj.name(), "skl-disj");
         assert_eq!(disj.disjunctive().unwrap().compiled.num_instructions(), 3);
         std::fs::remove_file(&v1).ok();
         std::fs::remove_file(&v2).ok();
         std::fs::remove_file(&dj).ok();
-        assert_eq!(registry.len(), 3);
-        let k = Microkernel::single(InstId(2));
-        let text = registry.get("text-machine").unwrap();
-        let a = ipc_of(&text, &k);
-        let b = ipc_of(&served, &k);
-        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+        assert_eq!(registry.names(), vec!["skl-disj", "sniffed"]);
     }
 
     #[test]
@@ -1423,7 +1313,7 @@ mod tests {
         artifact("disk-machine", 0.5).save(&path).unwrap();
         let registry = ModelRegistry::new();
         let served = registry.load_file(&path).unwrap();
-        assert_eq!(served.served().unwrap().artifact.machine, "disk-machine");
+        assert_eq!(served.serving().unwrap().artifact.machine, "disk-machine");
         assert_eq!(served.source_path(), Some(path.as_path()));
         assert_eq!(served.load_mode(), Some(LoadMode::Full));
         std::fs::remove_file(&path).ok();
@@ -1438,16 +1328,15 @@ mod tests {
         let original = artifact("lazy-machine", 0.5);
         original.save_v2(&path).unwrap();
         let registry = ModelRegistry::new();
-        let entry = registry.load_file_serving(&path).unwrap();
+        let entry = registry.load_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let serving = entry.serving().unwrap();
-        assert!(!serving.artifact.mapping_ready(), "serve-only load must not rebuild rows");
+        assert!(!serving.artifact.mapping_ready(), "a v2b load must not rebuild rows");
         assert_eq!(serving.artifact.machine, "lazy-machine");
         assert_eq!(serving.artifact.source, "test");
-        if cfg!(target_endian = "little") {
-            assert!(serving.view().is_borrowed());
-            assert!(serving.borrowed().is_some());
-        }
+        // The view borrows the retained bytes: its name points into them.
+        let name_at = crate::codec::V2B_MAGIC.len() + 4;
+        assert_eq!(serving.view().name().as_ptr(), serving.bytes()[name_at..].as_ptr());
 
         // Predictions through the borrowed view are bit-identical to the
         // owned compiled model, without ever materialising the mapping.
@@ -1495,31 +1384,37 @@ mod tests {
     }
 
     #[test]
-    fn serve_only_load_rejects_v1_text_and_corruption() {
+    fn serve_only_load_migrates_v1_text_and_rejects_corruption() {
         let registry = ModelRegistry::new();
-        let text = artifact("t", 0.5).render().into_bytes();
-        assert!(matches!(
-            registry.load_serving_bytes(text),
-            Err(ArtifactError::MissingHeader)
-        ));
+        // Corruption rejects without installing or burning a generation.
         let mut bin = artifact("t", 0.5).render_v2();
         let mid = bin.len() / 2;
         bin[mid] ^= 0x10;
-        assert!(registry.load_serving_bytes(bin).is_err());
+        assert!(registry.swap_bytes("t", bin).is_err());
+        let mut text = artifact("t", 0.5).render().into_bytes();
+        text[20] ^= 0x01;
+        assert!(registry.swap_bytes("t", text).is_err());
+        assert!(registry.swap_bytes("t", vec![0xff; 7]).is_err());
         assert!(registry.is_empty(), "failed loads must not disturb the registry");
         assert_eq!(registry.generation(), 0, "failed loads must not burn generations");
+
+        // v1 text migrates to the same v2b bytes a direct render produces.
+        let entry = registry.swap_bytes("t", artifact("t", 0.5).render().into_bytes()).unwrap();
+        assert_eq!(entry.kind(), ModelKind::ConjunctiveV1);
+        assert_eq!(entry.serving().unwrap().bytes(), &artifact("t", 0.5).render_v2()[..]);
+        assert_eq!(registry.generation(), 1);
     }
 
     #[test]
     fn swap_bytes_installs_a_new_generation_under_the_same_name() {
         let registry = ModelRegistry::new();
-        registry.load_serving_bytes(artifact("hot", 0.5).render_v2()).unwrap();
+        registry.swap_bytes("hot", artifact("hot", 0.5).render_v2()).unwrap();
         let old = registry.get("hot").unwrap();
         let swapped =
             registry.swap_bytes("hot", artifact("hot", 0.25).render_v2()).unwrap();
         assert_eq!(registry.len(), 1);
         assert!(swapped.generation() > old.generation());
-        // A v2b swap over a serve-only entry stays serve-only.
+        // A v2b swap installs a serving entry.
         assert!(swapped.serving().is_some());
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&swapped, &k).unwrap() - 4.0).abs() < 1e-12);
@@ -1543,7 +1438,7 @@ mod tests {
         artifact("watched", 0.5).save_v2(&watched).unwrap();
         artifact("stable", 0.5).save(&stable).unwrap();
         let registry = ModelRegistry::new();
-        registry.load_file_serving(&watched).unwrap();
+        registry.load_file(&watched).unwrap();
         registry.load_file(&stable).unwrap();
         registry.register(artifact("memory-only", 1.0));
         let quiet = registry.refresh();
@@ -1613,7 +1508,7 @@ mod tests {
         artifact("watched-health", 0.5).save_v2(&watched).unwrap();
         let registry = ModelRegistry::new();
         registry.register(artifact("memory-health", 1.0));
-        registry.load_file_serving(&watched).unwrap();
+        registry.load_file(&watched).unwrap();
 
         // Fresh installs report the default healthy state.
         let health = registry.health();
@@ -1679,17 +1574,17 @@ mod tests {
         // A reader that rewrites the file once mid-read: first attempt is
         // torn, the retry succeeds.
         let mut first = true;
-        let (source, bytes) = read_stable_with(&RealIo, &path, LoadMode::Full, |p| {
+        let (source, buf) = read_stable_with(&RealIo, &path, LoadMode::Full, |p| {
             let bytes = std::fs::read(p)?;
             if first {
                 first = false;
                 std::fs::write(p, b"rewritten mid-read!!").unwrap();
             }
-            Ok(bytes)
+            Ok(FileBuf::Heap(bytes))
         })
         .unwrap();
-        assert_eq!(bytes, b"rewritten mid-read!!");
-        assert_eq!(source.len, bytes.len() as u64);
+        assert_eq!(buf.as_slice(), b"rewritten mid-read!!");
+        assert_eq!(source.len, buf.as_slice().len() as u64);
 
         // A writer racing every read exhausts the retries.
         let mut flip = false;
@@ -1697,7 +1592,7 @@ mod tests {
             let bytes = std::fs::read(p)?;
             flip = !flip;
             std::fs::write(p, if flip { &b"aaaa"[..] } else { &b"bbbbbb"[..] }).unwrap();
-            Ok(bytes)
+            Ok(FileBuf::Heap(bytes))
         });
         match torn {
             Err(ArtifactError::TornRead { path: p }) => assert_eq!(p, path),
@@ -1707,7 +1602,9 @@ mod tests {
         // Read errors propagate as-is, without retrying into TornRead.
         let missing = dir.join("palmed-serve-registry-torn-missing.bin");
         assert!(matches!(
-            read_stable_with(&RealIo, &missing, LoadMode::Full, |p| Ok(std::fs::read(p)?)),
+            read_stable_with(&RealIo, &missing, LoadMode::Full, |p| {
+                Ok(FileBuf::Heap(std::fs::read(p)?))
+            }),
             Err(ArtifactError::Io(_))
         ));
         std::fs::remove_file(&path).ok();
@@ -1722,7 +1619,7 @@ mod tests {
         let registry = ModelRegistry::new();
 
         // Matching sidecar: loads fine, fingerprint is recorded on the entry.
-        let entry = registry.load_file_serving(&path).unwrap();
+        let entry = registry.load_file(&path).unwrap();
         assert_eq!(entry.fingerprint(), recorded);
         assert_eq!(entry.fingerprint(), original.fingerprint());
 
@@ -1753,7 +1650,7 @@ mod tests {
         let path = dir.join("palmed-serve-registry-quarantine-unit.palmed2");
         artifact("q-machine", 0.5).save_v2(&path).unwrap();
         let registry = ModelRegistry::new();
-        let good = registry.load_file_serving(&path).unwrap();
+        let good = registry.load_file(&path).unwrap();
         std::fs::write(&path, b"not a model").unwrap();
 
         // Poll until quarantined: exactly QUARANTINE_AFTER real attempts,

@@ -454,8 +454,6 @@ impl Engine {
         // resolved against and the model the batch serves from are the
         // same generation, regardless of concurrent registry writes.
         let rows = match entry.model() {
-            ModelEntry::Conjunctive(m) => Corpus::parse(corpus_text, &m.artifact.instructions)
-                .map(|c| m.batch().predict_corpus(&c).ipcs),
             ModelEntry::ConjunctiveServing(m) => {
                 Corpus::parse(corpus_text, &m.artifact.instructions)
                     .map(|c| m.batch().predict_corpus(&c).ipcs)

@@ -41,7 +41,7 @@ fn main() {
     registry.load_file(&model_path).expect("checksum verifies, artifact parses");
     println!("registry serves: {:?}", registry.names());
     let entry = registry.get(machine.name()).expect("registered under its machine name");
-    let served = entry.served().expect("full conjunctive entry");
+    let served = entry.serving().expect("conjunctive entry");
     assert_eq!(served.artifact, artifact, "round trip is lossless");
 
     // 4. A workload corpus: weighted basic blocks in a text file.  Names are
@@ -63,7 +63,8 @@ fn main() {
     let corpus = Corpus::load(&corpus_path, insts).expect("corpus reloads");
 
     // 5. Serve: ingest (dedupe) once, then predict through the compiled
-    //    model — allocation-free, results in corpus order.  The prepared
+    //    model (the v1 text was migrated to the v2b binary form at load) —
+    //    allocation-free, results in corpus order.  The prepared
     //    batch shares the corpus's interned kernel set by `Arc`, so
     //    re-preparing the same corpus costs a slot-table copy, not a clone.
     let prepared = PreparedBatch::from_corpus(&corpus);
@@ -77,23 +78,23 @@ fn main() {
         }
     }
 
-    // 6. The zero-copy serving mode: save the binary v2b artifact and load
-    //    it serve-only — the registry retains the bytes, predictions run
-    //    through a borrowed view aliasing them, and the dense mapping is
-    //    never rebuilt unless something explicitly asks for it.
+    // 6. Save the binary v2b artifact and map it straight off the page
+    //    cache: the registry retains the bytes, predictions run through a
+    //    borrowed view aliasing them, and the dense mapping is never
+    //    rebuilt unless something explicitly asks for it.
     let v2_path = dir.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2b artifact saves");
     let zero_copy = ModelRegistry::new();
-    let serving_entry = zero_copy.load_file_serving(&v2_path).expect("serve-only load validates");
-    let serving = serving_entry.serving().expect("serve-only entry");
+    let serving_entry = zero_copy.load_file_mapped(&v2_path).expect("v2b load validates");
+    let serving = serving_entry.serving().expect("conjunctive entry");
     let borrowed = serving.batch().predict_prepared(&prepared);
     assert!(!serving.artifact.mapping_ready(), "serving never rebuilds the dense rows");
     for (a, b) in result.ipcs.iter().zip(&borrowed.ipcs) {
-        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "borrowed == owned, bit for bit");
+        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "v1 and v2b loads agree, bit for bit");
     }
     println!(
-        "serve-only reload: {} path, {} blocks re-served bit-identically, mapping deferred",
-        if serving.view().is_borrowed() { "zero-copy" } else { "owned-fallback" },
+        "v2b reload: zero-copy view ({}), {} blocks re-served bit-identically, mapping deferred",
+        if serving.is_mapped() { "mmap-backed" } else { "heap buffer" },
         borrowed.ipcs.len()
     );
 }

@@ -89,9 +89,6 @@ pub mod incident {
         pub fn served_bits(&self, registry: &ModelRegistry, kernel: &Microkernel) -> u64 {
             let entry = registry.get(&self.name).expect("entry never disappears");
             let ipcs = match entry.model() {
-                ModelEntry::Conjunctive(m) => {
-                    m.batch().predict(std::slice::from_ref(kernel)).ipcs
-                }
                 ModelEntry::ConjunctiveServing(m) => {
                     m.batch().predict(std::slice::from_ref(kernel)).ipcs
                 }

@@ -1,17 +1,23 @@
 //! Registry behaviour at the edges the happy-path suites never reach:
 //! deterministic filesystem fault injection ([`palmed_fuzz::fault::FaultyIo`]
-//! behind the registry's [`ArtifactIo`](palmed_serve::ArtifactIo) seam) and
-//! the health-accounting corners — readmitting entries that were never
-//! quarantined, health rows after removal, and a file restored while its
-//! backoff is still draining.
+//! behind the registry's [`ArtifactIo`](palmed_serve::ArtifactIo) seam), the
+//! torn-read accounting of both load modes, and the health-accounting
+//! corners — readmitting entries that were never quarantined, health rows
+//! after removal, and a file restored while its backoff is still draining.
 
 use palmed_core::ConjunctiveMapping;
 use palmed_fuzz::fault::{Fault, FaultyIo};
 use palmed_integration_tests::incident::WatchedArtifact;
 use palmed_isa::{InstId, InstructionSet};
+use palmed_obs::FieldValue;
 use palmed_serve::{ArtifactIo, ModelArtifact, ModelRegistry, RefreshStatus};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Serialises the tests that tear reads: the torn-read retry counter is
+/// process-global, so its deltas only mean something while no other test
+/// in this binary is tearing reads.
+static TORN_LOCK: Mutex<()> = Mutex::new(());
 
 fn artifact(name: &str, usage: f64) -> ModelArtifact {
     let mut mapping = ConjunctiveMapping::with_resources(2);
@@ -40,7 +46,7 @@ fn readmit_on_unknown_entry_errs_and_leaves_no_phantom_health_row() {
 fn readmit_on_a_memory_only_entry_errs_without_touching_its_health() {
     let registry = ModelRegistry::new();
     let bytes = artifact("memory-only", 0.5).render_v2();
-    registry.load_serving_bytes(bytes).unwrap();
+    registry.swap_bytes("memory-only", bytes).unwrap();
 
     // No source file is watched, so there is nothing to readmit from.
     assert!(registry.readmit("memory-only").is_err());
@@ -112,19 +118,75 @@ fn mapped_loads_fall_back_to_heap_when_the_io_cannot_mmap() {
     assert_eq!(entry.name(), "heap-fallback");
     assert_eq!(entry.fingerprint(), art.fingerprint());
     assert_eq!(
-        entry.serving().expect("mapped entries are serve-only").bytes(),
+        entry.serving().expect("v2b loads install conjunctive entries").bytes(),
         io.contents(path).unwrap(),
         "the heap fallback serves the exact on-disk bytes"
     );
 }
 
 #[test]
+fn mapped_loads_account_torn_reads_exactly_like_heap_loads() {
+    let _torn = TORN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    palmed_obs::set_enabled(true);
+    let art = artifact("torn-accounting", 0.5);
+    let retries =
+        || palmed_obs::snapshot().counter("serve.registry.torn_read_retries").unwrap_or(0);
+
+    // Two ways a read is unstable: a replace still in progress (two torn
+    // reads, then the write settles), and both stats failing around an
+    // intact read (nothing proves the bytes match what was stat'ed).
+    type Script = fn(&FaultyIo, &Path, Vec<u8>);
+    let scripts: [(&str, Script); 2] = [
+        ("torn write", |io, path, bytes| io.write_torn(path, bytes, 2)),
+        ("both stats fail", |io, path, bytes| {
+            io.write(path, bytes);
+            io.arm(path, Fault::StatError);
+            io.arm(path, Fault::StatError);
+        }),
+    ];
+    for (script, fault) in scripts {
+        let mut accounting = Vec::new();
+        for mapped in [false, true] {
+            let (io, registry) = faulty_registry();
+            let path = Path::new(if mapped {
+                "/sim/torn-mapped.palmed2"
+            } else {
+                "/sim/torn-heap.palmed2"
+            });
+            fault(&io, path, art.render_v2());
+            let _ = palmed_obs::drain_events();
+            let before = retries();
+            let entry =
+                if mapped { registry.load_file_mapped(path) } else { registry.load_file(path) }
+                    .unwrap_or_else(|e| {
+                        panic!("{script} (mapped: {mapped}): the load recovers: {e}")
+                    });
+            assert_eq!(entry.fingerprint(), art.fingerprint(), "{script} (mapped: {mapped})");
+            let counted = retries() - before;
+            let path_field = FieldValue::Str(path.display().to_string());
+            let attempts: Vec<FieldValue> = palmed_obs::drain_events()
+                .0
+                .iter()
+                .filter(|e| e.name == "registry.torn_read_retry")
+                .filter(|e| e.field("path") == Some(&path_field))
+                .filter_map(|e| e.field("attempt").cloned())
+                .collect();
+            assert_eq!(attempts.len() as u64, counted, "{script}: one event per counted retry");
+            accounting.push((counted, attempts));
+        }
+        assert!(accounting[0].0 > 0, "{script}: the heap load retried");
+        assert_eq!(accounting[0], accounting[1], "{script}: mapped deltas equal the heap ones");
+    }
+}
+
+#[test]
 fn transient_and_torn_faults_never_degrade_serving_and_always_recover() {
+    let _torn = TORN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (io, registry) = faulty_registry();
     let first = artifact("faulted", 0.5);
     let path = Path::new("/sim/faulted.palmed2");
     io.write(path, first.render_v2());
-    let entry = registry.load_file_serving(path).unwrap();
+    let entry = registry.load_file(path).unwrap();
     assert_eq!(entry.fingerprint(), first.fingerprint());
 
     // A good rewrite behind a transient read fault: the poll fails once,

@@ -3,13 +3,11 @@
 //! A serving process pays the registry three ways: once per model at
 //! start-up (cold load), once per pushed update (generation swap), and on
 //! every request (snapshot lookup).  This bench pins all three on a
-//! paper-sized synthetic inventory, across the load modes:
+//! paper-sized synthetic inventory:
 //!
 //! * `cold_load_full` — `ModelRegistry::load_file` on a `v2b` artifact:
-//!   validate only, retain the heap buffer, defer the mapping;
-//! * `cold_load_mapped` — `ModelRegistry::load_file_mapped`: the same
-//!   load with the buffer `mmap(2)`-backed where the platform allows, so
-//!   the artifact bytes are the page cache itself;
+//!   read the file, validate only, retain the heap buffer, defer the
+//!   mapping;
 //! * `generation_swap` — `ModelRegistry::swap_bytes` over a loaded
 //!   registry: validate the new bytes and atomically install the next
 //!   generation (the in-flight-reader guarantee is what's being priced);
@@ -50,20 +48,11 @@ fn bench_registry_reload(c: &mut Criterion) {
     let bin = artifact.render_v2();
     let path = std::env::temp_dir().join("palmed-bench-registry-reload.palmed2");
     std::fs::write(&path, &bin).expect("bench artifact writes");
-    {
-        let probe = ModelRegistry::new();
-        let entry = probe.load_file_mapped(&path).unwrap();
-        eprintln!(
-            "registry artifact: {} instructions, v2b {} bytes; mapped load is {}",
-            artifact.instructions.len(),
-            bin.len(),
-            if entry.serving().unwrap().is_mapped() {
-                "mmap-backed"
-            } else {
-                "heap (platform without the shim)"
-            }
-        );
-    }
+    eprintln!(
+        "registry artifact: {} instructions, v2b {} bytes",
+        artifact.instructions.len(),
+        bin.len()
+    );
 
     let mut group = c.benchmark_group("registry_reload");
     group.sample_size(10);
@@ -75,18 +64,6 @@ fn bench_registry_reload(c: &mut Criterion) {
             entry.generation()
         })
     });
-    group.bench_with_input(
-        BenchmarkId::new("cold_load_mapped", bin.len()),
-        &path,
-        |b, path| {
-            b.iter(|| {
-                let registry = ModelRegistry::new();
-                let entry = registry.load_file_mapped(path).unwrap();
-                assert!(!entry.serving().unwrap().artifact.mapping_ready());
-                entry.generation()
-            })
-        },
-    );
 
     let registry = ModelRegistry::new();
     registry.load_file(&path).unwrap();

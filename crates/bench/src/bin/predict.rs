@@ -6,14 +6,14 @@
 //! 2. save it as a `PALMED-MODEL v1` artifact and reload it through a
 //!    [`ModelRegistry`] (which migrates it to the binary v2b form),
 //!    verifying the round trip is bit-lossless — then the same through a
-//!    saved v2b file, read to the heap and `mmap`'d, each served zero-copy
-//!    (borrowed view over the retained bytes, dense mapping deferred);
+//!    saved v2b file, served zero-copy (borrowed view over the retained
+//!    heap bytes, dense mapping deferred);
 //! 3. generate a basic-block corpus, save it as `PALMED-CORPUS v1` text and
 //!    load it back;
 //! 4. serve the corpus through the deduplicating
 //!    [`BatchPredictor`](palmed_serve::BatchPredictor) and cross-check every
 //!    prediction against the in-memory mapping, then re-serve it through
-//!    the mapped entry and require bit-identity with the v1-loaded one;
+//!    the v2b-loaded entry and require bit-identity with the v1-loaded one;
 //! 5. report accuracy against the native machine next to the uops-style
 //!    baseline;
 //! 6. exercise the second model family and the hot-reload plane: persist a
@@ -23,10 +23,9 @@
 //!    the artifact file atomically so `refresh()`'s mtime/length poll picks
 //!    it up;
 //! 7. prove determinism across every load path: the owned compile, the
-//!    v1 load, the v2b heap and mmap'd loads, a standalone view and the
-//!    v1-to-v2b migration must all hash to the same prediction
-//!    fingerprint, which the `.fp` sidecar records and the registry
-//!    verifies on load;
+//!    v1 load, the v2b load, a standalone view and the v1-to-v2b migration
+//!    must all hash to the same prediction fingerprint, which the `.fp`
+//!    sidecar records and the registry verifies on load;
 //! 8. assert the `palmed-obs` snapshot (the walk runs with observability
 //!    enabled) covers all three subsystems: trainer counters, serving
 //!    dedup hits and latency histogram, registry install/swap/refresh
@@ -136,27 +135,14 @@ fn main() {
         eprintln!("FATAL: the v2b file differs from the registry's migration of the v1 file");
         std::process::exit(1);
     }
-    println!(
-        "      v2b binary artifact round trip lossless ({v2_bytes} bytes, \
-         {:.0}% of the text form)",
-        100.0 * v2_bytes as f64 / bytes.max(1) as f64
-    );
-
-    // The mapped load: retain the artifact bytes straight off the page
-    // cache where the platform allows, serve through the borrowed view,
-    // never rebuild the dense mapping.
-    let serve_registry = ModelRegistry::new();
-    let serving_entry =
-        serve_registry.load_file_mapped(&v2_path).expect("mapped v2b load validates");
-    let serving = serving_entry.serving().expect("conjunctive entry");
-    if serving.artifact.mapping_ready() {
-        eprintln!("FATAL: mapped load materialised the dense mapping eagerly");
+    if v2_served.artifact.mapping_ready() {
+        eprintln!("FATAL: v2b load materialised the dense mapping eagerly");
         std::process::exit(1);
     }
     println!(
-        "      mapped load registered `{}` (zero-copy view, {}, mapping deferred)",
-        serving.artifact.machine,
-        if serving.is_mapped() { "mmap-backed" } else { "heap buffer" }
+        "      v2b binary artifact round trip lossless ({v2_bytes} bytes, \
+         {:.0}% of the text form); served zero-copy, mapping deferred",
+        100.0 * v2_bytes as f64 / bytes.max(1) as f64
     );
 
     // ---- 3. Corpus to and from disk. ----
@@ -215,11 +201,11 @@ fn main() {
         cold.as_secs_f64() / served_in.as_secs_f64()
     );
 
-    // Same corpus through the mapped entry: every prediction must be
+    // Same corpus through the v2b-loaded entry: every prediction must be
     // bit-identical to the v1-loaded entry, and the dense mapping must
     // still not have been rebuilt.
     let start = Instant::now();
-    let borrowed_result = serving.batch().predict_prepared(&prepared);
+    let borrowed_result = v2_served.batch().predict_prepared(&prepared);
     let borrowed_in = start.elapsed();
     let borrowed_mismatches = result
         .ipcs
@@ -229,16 +215,16 @@ fn main() {
         .count();
     if borrowed_mismatches > 0 {
         eprintln!(
-            "FATAL: {borrowed_mismatches} mapped-entry predictions differ from the v1-loaded entry"
+            "FATAL: {borrowed_mismatches} v2b-entry predictions differ from the v1-loaded entry"
         );
         std::process::exit(1);
     }
-    if serving.artifact.mapping_ready() {
-        eprintln!("FATAL: serving the mapped entry forced the dense mapping rebuild");
+    if v2_served.artifact.mapping_ready() {
+        eprintln!("FATAL: serving the v2b entry forced the dense mapping rebuild");
         std::process::exit(1);
     }
     println!(
-        "      mapped entry bit-identical to the v1-loaded entry \
+        "      v2b entry bit-identical to the v1-loaded entry \
          ({} blocks in {:.2?}; mapping still deferred)",
         borrowed_result.ipcs.len(),
         borrowed_in
@@ -297,10 +283,10 @@ fn main() {
 
     // (b) Hot swap under a live reader: install retrained bytes under the
     // same name; the held entry keeps serving the old generation.
-    let old_entry = serve_registry.get(preset.name()).expect("serving entry registered");
+    let old_entry = registry.get(preset.name()).expect("serving entry registered");
     let mut retrained = artifact.clone();
     retrained.source = format!("{}-retrained", retrained.source);
-    let swapped = serve_registry
+    let swapped = registry
         .swap_bytes(preset.name(), retrained.render_v2())
         .expect("hot swap installs a new generation");
     assert!(swapped.generation() > old_entry.generation(), "swap must bump the generation");
@@ -328,8 +314,8 @@ fn main() {
     );
 
     // (c) File-watch refresh: atomically replace the artifact file (write +
-    // rename, so live mappings keep their inode) and let the polling
-    // registry pick it up.
+    // rename, so the reload never sees a half-written file) and let the
+    // polling registry pick it up.
     let tmp = out.join("model.palmed2.tmp");
     retrained.save_v2(&tmp).expect("replacement artifact saves");
     std::fs::rename(&tmp, &v2_path).expect("atomic replace");
@@ -354,9 +340,9 @@ fn main() {
     // ---- 7. Determinism fingerprints across every load path. ----
     // The same model must hash to the same prediction fingerprint no matter
     // how it was loaded: compiled in memory, loaded from v1 text (migrated
-    // to v2b), loaded from a v2b file into the heap or mmap'd, viewed
-    // standalone, or migrated from v1 to v2b by hand.  The `.fp` sidecar
-    // pins that value on disk and the registry re-verifies it on every load.
+    // to v2b), loaded from a v2b file, viewed standalone, or migrated from
+    // v1 to v2b by hand.  The `.fp` sidecar pins that value on disk and the
+    // registry re-verifies it on every load.
     let n = artifact.instructions.len();
     let reference = artifact.fingerprint();
     let v2_render = artifact.render_v2();
@@ -371,8 +357,6 @@ fn main() {
         ("v1 load entry", entry.fingerprint()),
         ("v2b heap load", v2_served.view().fingerprint(n)),
         ("v2b heap load entry", v2_entry.fingerprint()),
-        ("v2b mapped load", serving.view().fingerprint(n)),
-        ("v2b mapped load entry", serving_entry.fingerprint()),
         ("standalone view", heap_view.fingerprint(n)),
         ("v1->v2b migration", migrated_view.fingerprint(n)),
     ];

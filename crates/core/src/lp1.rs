@@ -623,7 +623,9 @@ mod tests {
     #[test]
     fn auto_strategy_falls_back_to_cliques_for_larger_sets() {
         let (measurer, campaign, sel, _) = paper_setup();
-        // 5 basic instructions > ilp_size_limit of 4 -> constructive path.
+        // More basic instructions than the ILP size limit: `Auto` must take
+        // the constructive clique path.
+        assert!(sel.basic.len() > ShapeConfig::default().ilp_size_limit);
         let shape = discover_shape(&measurer, &campaign, &sel, &ShapeConfig::default());
         assert!(shape.num_resources > 0);
     }

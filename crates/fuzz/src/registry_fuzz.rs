@@ -2,15 +2,14 @@
 //!
 //! Where [`crate::run_many`] fuzzes *decoders* with corrupted buffers, this
 //! harness fuzzes the [`ModelRegistry`] *refresh loop* with corrupted
-//! **filesystems**: each case seeds a [`FaultyIo`]
-//! with 1–3 artifact files, loads them into a registry (conjunctive and
-//! disjunctive, across the heap and mapped load modes, optionally under
-//! a signing key), then scripts 8–30 steps of hostile filesystem history —
-//! good rewrites, corrupt rewrites, torn replaces, mismatched and
-//! wrong-key sidecars, deletions, mtime flaps, armed transient stat/read
-//! faults, plus operator `readmit`/`reload_file` calls — running
-//! [`ModelRegistry::refresh`] after every step and asserting the serving
-//! invariants the registry documents:
+//! **filesystems**: each case seeds a [`FaultyIo`] with 1–3 artifact
+//! files, loads them into a registry (conjunctive and disjunctive, v1 and
+//! v2b, optionally under a signing key), then scripts 8–30 steps of hostile
+//! filesystem history — good rewrites, corrupt rewrites, torn replaces,
+//! mismatched and wrong-key sidecars, deletions, mtime flaps, armed
+//! transient stat/read faults, plus operator `readmit`/`reload_file` calls
+//! — running [`ModelRegistry::refresh`] after every step and asserting the
+//! serving invariants the registry documents:
 //!
 //! - **last good generation keeps serving**: every entry resolves after
 //!   every step, its fingerprint is the last *verified* body's, and
@@ -52,13 +51,6 @@ enum Wire {
     V2b,
 }
 
-/// How the entry was loaded: read to the heap or opened mapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Full,
-    Mapped,
-}
-
 /// The fuzzer's mirror of one sidecar file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SidecarState {
@@ -82,7 +74,6 @@ struct SimEntry {
     path: PathBuf,
     family: Family,
     wire: Wire,
-    mode: Mode,
     /// Settled on-disk body when it decodes: `(fingerprint, bytes)`.
     /// `None` after a corrupting write or a deletion.
     target: Option<(u64, Vec<u8>)>,
@@ -377,20 +368,15 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
         format!("schedule: {}", if keyed { "signing key armed" } else { "unkeyed registry" })
     });
 
-    // Seed 1–3 watched entries across families, wire formats and modes.
+    // Seed 1–3 watched entries across families and wire formats.
     let mut entries: Vec<SimEntry> = Vec::new();
     for i in 0..rng.usize_in(1, 3) {
         let name = format!("sim-{i}");
         let path = PathBuf::from(format!("/sim/{case}/model-{i}"));
         let family = if rng.next_f64() < 0.5 { Family::Conjunctive } else { Family::Disjunctive };
-        let (wire, mode) = match family {
-            Family::Disjunctive => (Wire::V1, Mode::Full),
-            Family::Conjunctive => match rng.usize_in(0, 3) {
-                0 => (Wire::V1, Mode::Full),
-                1 => (Wire::V2b, Mode::Full),
-                2 => (Wire::V1, Mode::Mapped),
-                _ => (Wire::V2b, Mode::Mapped),
-            },
+        let wire = match family {
+            Family::Conjunctive if rng.next_f64() < 0.5 => Wire::V2b,
+            _ => Wire::V1,
         };
         let (fp, bytes) = fresh_body(&name, family, wire, &insts, &mut rng);
         io.write(&path, bytes.clone());
@@ -408,23 +394,18 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
             path,
             family,
             wire,
-            mode,
             target: Some((fp, bytes.clone())),
             sidecar,
             good_fp: fp,
             good_bytes: bytes,
         };
         write_sidecar_state(&io, &sim, key.as_deref());
-        let loaded = match mode {
-            Mode::Full => registry.load_file(&sim.path),
-            Mode::Mapped => registry.load_file_mapped(&sim.path),
-        };
-        match loaded {
+        match registry.load_file(&sim.path) {
             Ok(entry) if entry.fingerprint() == fp && entry.name() == name => {
                 stats.note(|| {
                     format!(
-                        "seed `{name}`: {:?}/{:?}/{:?} sidecar {:?}, fingerprint {fp:016x}",
-                        sim.family, sim.wire, sim.mode, sim.sidecar
+                        "seed `{name}`: {:?}/{:?} sidecar {:?}, fingerprint {fp:016x}",
+                        sim.family, sim.wire, sim.sidecar
                     )
                 });
                 entries.push(sim);

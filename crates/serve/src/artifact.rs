@@ -25,7 +25,6 @@
 use crate::binfmt::RawIndex;
 use crate::codec::ModelKind;
 use crate::compiled::CompiledModel;
-use crate::mmap::FileBuf;
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{ExecClass, Extension, InstDesc, InstId, InstructionSet};
 use std::fmt;
@@ -53,7 +52,7 @@ struct MappingCell {
 /// artifact buffer with the registry's serving entry — retaining it costs
 /// one `Arc`, not a copy.
 struct DeferredMapping {
-    bytes: Arc<FileBuf>,
+    bytes: Arc<Vec<u8>>,
     index: RawIndex,
 }
 
@@ -62,7 +61,7 @@ impl MappingCell {
         MappingCell { cell: OnceLock::from(mapping), deferred: Mutex::new(None) }
     }
 
-    fn deferred(bytes: Arc<FileBuf>, index: RawIndex) -> Self {
+    fn deferred(bytes: Arc<Vec<u8>>, index: RawIndex) -> Self {
         MappingCell {
             cell: OnceLock::new(),
             deferred: Mutex::new(Some(DeferredMapping { bytes, index })),
@@ -84,7 +83,7 @@ impl MappingCell {
                 let deferred = guard.as_ref().expect("unfilled cells carry rebuild state");
                 (Arc::clone(&deferred.bytes), deferred.index.clone())
             };
-            index.rebuild_mapping(bytes.as_slice())
+            index.rebuild_mapping(&bytes)
         });
         if initialised_here {
             // The rows exist now; drop this cell's hold on the artifact
@@ -377,7 +376,7 @@ impl ModelArtifact {
         machine: String,
         source: String,
         instructions: InstructionSet,
-        bytes: Arc<FileBuf>,
+        bytes: Arc<Vec<u8>>,
         index: RawIndex,
     ) -> Self {
         ModelArtifact { machine, source, instructions, mapping: MappingCell::deferred(bytes, index) }
@@ -678,8 +677,8 @@ impl ModelArtifact {
     /// The artifact's determinism fingerprint: a canonical FNV-1a-64 hash
     /// over the compiled model's predictions on the pinned probe corpus (see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).  Every
-    /// load mode of the same model — owned, borrowed, memory-mapped,
-    /// migrated — produces the same value.
+    /// load path of the same model — owned, borrowed, migrated — produces
+    /// the same value.
     pub fn fingerprint(&self) -> u64 {
         use crate::compiled::KernelLoad;
         self.compile().fingerprint(self.instructions.len())

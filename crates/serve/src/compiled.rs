@@ -17,7 +17,7 @@
 //! indices and `f64` bit patterns, all read bytewise — so any buffer backs
 //! it, at any alignment, on any endianness.  [`CompiledModelRef`] is that
 //! arena *without the copies*: a validate-once view whose slices alias the
-//! artifact bytes (heap or `mmap(2)`).  Both serve through [`KernelLoad`],
+//! artifact bytes.  Both serve through [`KernelLoad`],
 //! the allocation-free interface the batch engine is generic over, and both
 //! run the one CSR hot loop.
 //!
@@ -140,9 +140,9 @@ impl CompiledModel {
         let mut cols = Vec::new();
         let mut vals = Vec::new();
         row_ptr.extend_from_slice(&0u32.to_le_bytes());
-        for (index, is_mapped) in mapped.iter_mut().enumerate() {
+        for (index, has_row) in mapped.iter_mut().enumerate() {
             if let Some(usage) = mapping.usage_vector(InstId(index as u32)) {
-                *is_mapped = 1;
+                *has_row = 1;
                 for (r, &value) in usage.iter().enumerate() {
                     if value != 0.0 {
                         cols.extend_from_slice(&(r as u32).to_le_bytes());
@@ -288,7 +288,7 @@ pub trait KernelLoad {
     /// The model's determinism fingerprint over the pinned probe corpus for
     /// `num_slots` instruction slots (use the artifact's instruction-set
     /// length).  Any two implementors that predict bit-identically — owned,
-    /// borrowed, memory-mapped, migrated — fingerprint identically; see
+    /// borrowed, migrated — fingerprint identically; see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint).
     fn fingerprint(&self, num_slots: usize) -> u64 {
         crate::fingerprint::model_fingerprint(self, num_slots)

@@ -3,11 +3,12 @@
 //! The codecs' checksums prove the **bytes** arrived intact; they say nothing
 //! about whether two differently-encoded artifacts — a v1 text file and its
 //! v2b migration, an owned [`CompiledModel`](crate::CompiledModel) and a
-//! zero-copy [`CompiledModelRef`](crate::CompiledModelRef) over mapped
-//! bytes — are the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
-//! the bit patterns of the model's IPC predictions on a pinned, deterministic
-//! probe corpus, so any two loads that predict bit-identically fingerprint
-//! identically, across load modes, formats, refactors and replicas.
+//! zero-copy [`CompiledModelRef`](crate::CompiledModelRef) over retained
+//! bytes — are the *same model*.  A fingerprint closes that gap: it is an
+//! FNV-1a-64 hash over the bit patterns of the model's IPC predictions on a
+//! pinned, deterministic probe corpus, so any two loads that predict
+//! bit-identically fingerprint identically, across load paths, formats,
+//! refactors and replicas.
 //!
 //! Fingerprints are recorded in a **sidecar** file next to saved artifacts
 //! (`model.palmed2` → `model.palmed2.fp`, see [`sidecar_path`]) and verified

@@ -50,16 +50,15 @@
 //!
 //! # Load modes
 //!
-//! Two model families, four ways to load them.  Every conjunctive registry
-//! entry ends up in one form — validated v2b bytes read through a borrowed
-//! [`CompiledModelRef`] — and the modes differ only in how the bytes get
-//! there:
+//! Two model families, three ways to load them.  Every conjunctive registry
+//! entry ends up in one form — validated v2b bytes on the heap, read
+//! through a borrowed [`CompiledModelRef`] — and the modes differ only in
+//! how the bytes get there:
 //!
 //! | mode | family | registry entry points | cost at load |
 //! |------|--------|-----------------------|--------------|
 //! | **v1 text**, migrated at load | conjunctive | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | parse every decimal, render v2b, validate |
 //! | **v2b heap** | conjunctive | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate only |
-//! | **v2b mmap** | conjunctive | [`ModelRegistry::load_file_mapped`] (`mmap(2)` where the platform allows) | validate only, zero heap copies |
 //! | **disj** (eager) | disjunctive | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate, copy µOP rows (disjunctive models are tiny) |
 //!
 //! [`ModelRegistry::register`] renders an in-memory artifact straight to
@@ -68,19 +67,22 @@
 //! (what training-side tools compare and re-render), and
 //! [`CompiledModelRef::parse_v2`] borrows a standalone v2b buffer.
 //!
-//! Every stat, read and mapped open behind these modes goes through the
-//! [`ArtifactIo`] seam ([`io`]): [`RealIo`] (the default) forwards to
-//! `std::fs` and the `mmap(2)` shim, while [`ModelRegistry::with_io`]
-//! accepts any other backend — the deterministic fault injector in
-//! `palmed-fuzz` scripts short reads, transient errors, torn snapshots and
-//! mtime flapping through it to fuzz the whole refresh loop.
+//! Every stat and read behind these modes goes through the [`ArtifactIo`]
+//! seam ([`io`]): [`RealIo`] (the default) forwards to `std::fs`, while
+//! [`ModelRegistry::with_io`] accepts any other backend — the deterministic
+//! fault injector in `palmed-fuzz` scripts short reads, transient errors,
+//! torn snapshots and mtime flapping through it to fuzz the whole refresh
+//! loop.
 //!
-//! A v2b load is O(validate): the artifact bytes are retained and
-//! predictions run through a borrowed [`CompiledModelRef`] aliasing them.
-//! The view reads every word bytewise, so it exists at any buffer address
-//! and on any endianness — there is no alignment rule and no owned
-//! fallback.  A v1 load pays its text parse once, then serves from the
-//! rendered v2b bytes exactly like a v2b load.  The artifact's dense
+//! A v2b load is one file read plus O(validate): the bytes read are
+//! retained as they are and predictions run through a borrowed
+//! [`CompiledModelRef`] aliasing them.  That buffer belongs to the entry,
+//! so the bytes served are exactly the bytes that were validated and
+//! fingerprinted, whatever later happens to the file.  The view reads every
+//! word bytewise, so it exists at any buffer address and on any endianness
+//! — there is no alignment rule and no owned fallback.  A v1 load pays its
+//! text parse once, then serves from the rendered v2b bytes exactly like a
+//! v2b load.  The artifact's dense
 //! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) — which the
 //! serving path never reads — is **lazy** for every entry:
 //! [`ModelArtifact::mapping`] rebuilds it from the retained bytes on first
@@ -198,8 +200,8 @@
 //!   [`KernelLoad::fingerprint`]) pin *which* model is served — recorded in
 //!   a `.fp` sidecar at save time
 //!   ([`ModelArtifact::save_v2_with_fingerprint`]) and verified by the
-//!   registry at load and refresh time; all load modes of one model —
-//!   owned, borrowed, memory-mapped, migrated — fingerprint identically.
+//!   registry at load and refresh time; all load paths of one model —
+//!   owned, borrowed, migrated — fingerprint identically.
 //!   But an unkeyed fingerprint is determinism evidence, not a signature.
 //!   **Signed sidecars** ([`ModelArtifact::save_v2_with_signed_fingerprint`],
 //!   [`write_signed_sidecar`]) add the missing key: the v2 sidecar carries
@@ -223,9 +225,11 @@
 //!   ([`ArtifactError::TornRead`]); repeated failures back off
 //!   exponentially and eventually quarantine the source
 //!   ([`ModelRegistry::health`], [`ModelRegistry::readmit`]) while the last
-//!   good generation keeps serving.  Writers should still replace artifacts
-//!   by atomic rename — especially for memory-mapped entries, which pin the
-//!   original inode.  The whole loop — stat, read, map, retry, back off,
+//!   good generation keeps serving.  An installed entry owns the heap
+//!   snapshot it verified, so an in-place rewrite or truncation of its file
+//!   cannot reach it; writers should still replace artifacts by atomic
+//!   rename, so that the next refresh reads a whole file rather than
+//!   retrying a torn one.  The whole loop — stat, read, retry, back off,
 //!   quarantine, readmit — is driven through the [`ArtifactIo`] seam, so
 //!   the `fuzz_registry` harness in `crates/fuzz` replays thousands of
 //!   scripted fault schedules against it and asserts the last good
@@ -302,6 +306,8 @@
 //! assert_eq!(served.ipcs.len(), 1000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod batch;
 mod binfmt;
@@ -312,7 +318,6 @@ pub mod corpus;
 pub mod disj;
 pub mod fingerprint;
 pub mod io;
-mod mmap;
 pub mod registry;
 pub mod sign;
 
@@ -326,8 +331,8 @@ pub use fingerprint::{
     model_fingerprint, probe_corpus, read_sidecar, read_sidecar_with, sidecar_path, write_sidecar,
     write_signed_sidecar, Sidecar,
 };
-pub use io::{ArtifactIo, FileMeta, IoBuf, RealIo};
+pub use io::{ArtifactIo, FileMeta, RealIo};
 pub use registry::{
-    EntryHealth, LoadMode, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry,
+    EntryHealth, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry,
     RegistrySnapshot, ServedDisjModel, ServingModel,
 };

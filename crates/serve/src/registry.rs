@@ -9,8 +9,8 @@
 //! * **Polymorphic entries.**  Every entry is a [`RegistryEntry`] tagging a
 //!   [`ModelKind`] (family + format, reported per entry) around one model
 //!   payload per family: a conjunctive [`ServingModel`] (validated `v2b`
-//!   bytes — heap or `mmap(2)`-backed — served through a borrowed view;
-//!   v1 text is migrated to `v2b` at load) or a disjunctive
+//!   bytes held on the heap, served through a borrowed view; v1 text is
+//!   migrated to `v2b` at load) or a disjunctive
 //!   [`ServedDisjModel`] (a PMEvo-style port mapping, loaded from a
 //!   `PALMED-DISJ v1` artifact instead of re-evolved per campaign).
 //!   [`ModelRegistry::load_file`] sniffs the format.
@@ -50,7 +50,6 @@ use crate::codec::ModelKind;
 use crate::compiled::CompiledModelRef;
 use crate::disj::{CompiledDisjModel, DisjArtifact};
 use crate::io::{ArtifactIo, RealIo};
-use crate::mmap::FileBuf;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,26 +77,28 @@ const TORN_READ_RETRIES: u32 = 3;
 /// The artifact's instruction set is materialised (corpus loading needs the
 /// name index) but its dense mapping stays deferred — the first
 /// [`ModelArtifact::mapping`] access rebuilds it from the retained bytes.
-/// The retained buffer is either heap-owned or an `mmap(2)` of the artifact
-/// file ([`ModelRegistry::load_file_mapped`]); the view reads it bytewise,
-/// so it serves from wherever the buffer sits.
+/// The retained buffer is a heap snapshot owned by the entry: the exact
+/// bytes that were validated, fingerprinted and sidecar-checked.  Nothing
+/// outside the entry can write to it, so rewriting or truncating the source
+/// file never reaches an installed entry — only the next
+/// [`ModelRegistry::refresh`] sees the new bytes, and verifies them first.
 #[derive(Debug, Clone)]
 pub struct ServingModel {
     /// The self-describing artifact; its mapping stays deferred until first
     /// explicit access.
     pub artifact: ModelArtifact,
-    bytes: Arc<FileBuf>,
+    bytes: Arc<Vec<u8>>,
     index: binfmt::RawIndex,
 }
 
 impl ServingModel {
     /// Validates a v2b buffer once and retains it as the model storage.
-    fn from_buf(buf: FileBuf) -> Result<Self, ArtifactError> {
-        let binfmt::Validated { instructions, index } = binfmt::validate(buf.as_slice())?;
-        let bytes = Arc::new(buf);
+    fn from_bytes(bytes: Vec<u8>) -> Result<Self, ArtifactError> {
+        let binfmt::Validated { instructions, index } = binfmt::validate(&bytes)?;
+        let bytes = Arc::new(bytes);
         let artifact = ModelArtifact::deferred(
-            index.machine(bytes.as_slice()).to_string(),
-            index.source(bytes.as_slice()).to_string(),
+            index.machine(&bytes).to_string(),
+            index.source(&bytes).to_string(),
             instructions,
             Arc::clone(&bytes),
             index.clone(),
@@ -108,7 +109,7 @@ impl ServingModel {
     /// The zero-copy view this entry serves through, borrowing the retained
     /// bytes.
     pub fn view(&self) -> CompiledModelRef<'_> {
-        self.index.view(self.bytes.as_slice())
+        self.index.view(&self.bytes)
     }
 
     /// A batch predictor serving through [`ServingModel::view`].
@@ -118,13 +119,7 @@ impl ServingModel {
 
     /// The raw artifact bytes this entry retains.
     pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_slice()
-    }
-
-    /// True when the retained bytes are served straight from a file mapping
-    /// (zero heap copies of the artifact).
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
+        &self.bytes
     }
 }
 
@@ -165,18 +160,18 @@ impl ModelEntry {
     /// Decodes one artifact buffer, sniffing its kind: v2b bytes are
     /// validated and retained as they are, v1 text is migrated to v2b
     /// first, and `PALMED-DISJ v1` becomes a disjunctive entry.
-    fn decode(buf: FileBuf) -> Result<(ModelKind, ModelEntry), ArtifactError> {
-        let kind = ModelKind::sniff(buf.as_slice());
+    fn decode(bytes: Vec<u8>) -> Result<(ModelKind, ModelEntry), ArtifactError> {
+        let kind = ModelKind::sniff(&bytes);
         let model = match kind {
             ModelKind::ConjunctiveV2b => {
-                ModelEntry::ConjunctiveServing(ServingModel::from_buf(buf)?)
+                ModelEntry::ConjunctiveServing(ServingModel::from_bytes(bytes)?)
             }
             ModelKind::ConjunctiveV1 => {
-                let v2b = crate::codec::migrate_v1_to_v2b(buf.as_slice())?;
-                ModelEntry::ConjunctiveServing(ServingModel::from_buf(FileBuf::Heap(v2b))?)
+                let v2b = crate::codec::migrate_v1_to_v2b(&bytes)?;
+                ModelEntry::ConjunctiveServing(ServingModel::from_bytes(v2b)?)
             }
             ModelKind::DisjunctiveV1 => ModelEntry::Disjunctive(ServedDisjModel::from_artifact(
-                DisjArtifact::parse(buf.as_slice())?,
+                DisjArtifact::parse(&bytes)?,
             )),
         };
         Ok((kind, model))
@@ -191,23 +186,11 @@ impl ModelEntry {
     }
 }
 
-/// How a file-backed entry is (re)loaded — what [`ModelRegistry::refresh`]
-/// replays when the file changes.  Both modes decode the same way; they
-/// differ only in where the retained bytes live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// The file is read into a heap buffer.
-    Full,
-    /// The file is `mmap(2)`-backed where the platform allows.
-    Mapped,
-}
-
 /// The source file a registry entry watches: path plus the metadata
 /// observed at load time, compared by [`ModelRegistry::refresh`].
 #[derive(Debug, Clone)]
 struct SourceFile {
     path: PathBuf,
-    mode: LoadMode,
     mtime: Option<SystemTime>,
     len: u64,
 }
@@ -216,11 +199,10 @@ impl SourceFile {
     /// Stats `path` *before* the load reads it, so a concurrent rewrite
     /// between stat and read is re-observed (and re-loaded) by the next
     /// [`ModelRegistry::refresh`] rather than missed.
-    fn observe(io: &dyn ArtifactIo, path: &Path, mode: LoadMode) -> SourceFile {
+    fn observe(io: &dyn ArtifactIo, path: &Path) -> SourceFile {
         let meta = io.stat(path).ok();
         SourceFile {
             path: path.to_path_buf(),
-            mode,
             mtime: meta.as_ref().and_then(|m| m.mtime),
             len: meta.map_or(0, |m| m.len),
         }
@@ -274,7 +256,7 @@ impl RegistryEntry {
     /// the model's predictions on the pinned probe corpus (see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).  Two
     /// entries serving the same model report the same value regardless of
-    /// format or load mode.
+    /// format or load path.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -282,11 +264,6 @@ impl RegistryEntry {
     /// The source file this entry watches, when file-loaded.
     pub fn source_path(&self) -> Option<&Path> {
         self.source.as_ref().map(|s| s.path.as_path())
-    }
-
-    /// The load mode a refresh would replay, when file-loaded.
-    pub fn load_mode(&self) -> Option<LoadMode> {
-        self.source.as_ref().map(|s| s.mode)
     }
 
     /// The model payload.
@@ -482,7 +459,7 @@ pub struct ModelRegistry {
     /// read-modify-write sections, never across the snapshot `RwLock` or
     /// any filesystem call.
     health: Mutex<BTreeMap<String, HealthState>>,
-    /// Every stat/read/mapped-open the registry performs goes through this
+    /// Every stat and read the registry performs goes through this
     /// seam — [`RealIo`] in production, a scripted fault injector under
     /// test (see [`ModelRegistry::with_io`]).
     io: Arc<dyn ArtifactIo>,
@@ -710,7 +687,7 @@ impl ModelRegistry {
         name: impl Into<String>,
         artifact: ModelArtifact,
     ) -> Arc<RegistryEntry> {
-        let serving = ServingModel::from_buf(FileBuf::Heap(artifact.render_v2()))
+        let serving = ServingModel::from_bytes(artifact.render_v2())
             .expect("a rendered artifact validates");
         self.install(
             name.into(),
@@ -732,28 +709,20 @@ impl ModelRegistry {
         )
     }
 
-    /// Loads a model entry from a file in the given mode — the shared core
-    /// of first loads and refresh reloads.  The read is *stable* (re-stat
-    /// after reading, retry on mismatch — see [`read_stable_with`]), the
+    /// Loads a model entry from a file — the shared core of first loads and
+    /// refresh reloads.  The read is *stable* (re-stat after reading, retry
+    /// on mismatch — see [`read_stable_with`]) into a heap buffer the entry
+    /// then owns, so the bytes served are the bytes verified here.  The
     /// payload's fingerprint is computed, and when a `.fp` sidecar exists
     /// next to the file it must verify: a signed v2 sidecar's HMAC tag
     /// against the configured key ([`ArtifactError::SignatureMismatch`]),
     /// then the recorded fingerprint against the model's predictions
     /// ([`ArtifactError::FingerprintMismatch`]) — a model that decodes but
     /// is not the one that was deployed never installs.
-    fn load_path(&self, path: &Path, mode: LoadMode) -> Result<Loaded, ArtifactError> {
+    fn load_path(&self, path: &Path) -> Result<Loaded, ArtifactError> {
         let io = self.io.as_ref();
-        let (source, buf) = read_stable_with(io, path, mode, |path| {
-            Ok(match mode {
-                LoadMode::Full => FileBuf::Heap(io.read(path)?),
-                // A mapping is checked like a heap read: stat before and
-                // after, length against the bytes seen.  (Writers must
-                // still replace mapped artifacts by atomic rename — an
-                // in-place rewrite mutates a live mapping.)
-                LoadMode::Mapped => io.open_buf(path)?.into_inner(),
-            })
-        })?;
-        let (kind, model) = ModelEntry::decode(buf)?;
+        let (source, bytes) = read_stable_with(io, path, |path| Ok(io.read(path)?))?;
+        let (kind, model) = ModelEntry::decode(bytes)?;
         let name = model.machine().to_string();
         let fingerprint = entry_fingerprint(&model);
         let sidecar = crate::fingerprint::read_sidecar_with(io, path)?;
@@ -790,35 +759,16 @@ impl ModelRegistry {
     /// are (O(validate): no array copies, the dense mapping deferred), v1
     /// text artifacts are migrated to `v2b` first, and `PALMED-DISJ v1`
     /// artifacts become disjunctive entries.  The entry records the file's
-    /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites.
+    /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites;
+    /// until then it serves the snapshot read here, whatever happens to the
+    /// file.
     ///
     /// # Errors
     ///
     /// Propagates I/O and codec failures; the registry is left unchanged on
     /// error.
     pub fn load_file(&self, path: impl AsRef<Path>) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Full)?))
-    }
-
-    /// [`ModelRegistry::load_file`] through `mmap(2)` where the platform
-    /// provides it (64-bit Unix; read-to-heap everywhere else): a `v2b`
-    /// entry's retained "buffer" is then the page cache, so the load copies
-    /// no artifact byte at all.  Check [`ServingModel::is_mapped`] on the
-    /// entry.
-    ///
-    /// Replace watched files atomically (write + `rename`) — an in-place
-    /// rewrite would mutate bytes under a live mapping (see the crate's
-    /// private `mmap` module docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and codec failures; the registry is left unchanged on
-    /// error.
-    pub fn load_file_mapped(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Mapped)?))
+        Ok(self.install_loaded(self.load_path(path.as_ref())?))
     }
 
     /// Hot-swaps the model under `name` from an in-memory buffer, installing
@@ -842,15 +792,15 @@ impl ModelRegistry {
         name: impl Into<String>,
         bytes: Vec<u8>,
     ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let (kind, model) = ModelEntry::decode(FileBuf::Heap(bytes))?;
+        let (kind, model) = ModelEntry::decode(bytes)?;
         let entry = self.install(name.into(), kind, None, model);
         palmed_obs::counter!("serve.registry.swaps").inc();
         palmed_obs::event!("registry.swap", key = entry.name(), generation = entry.generation());
         Ok(entry)
     }
 
-    /// Reloads a file-backed entry from its recorded source path, in its
-    /// original load mode, keeping its registry name.  This is the forced
+    /// Reloads a file-backed entry from its recorded source path, keeping
+    /// its registry name.  This is the forced
     /// version of what [`ModelRegistry::refresh`] does on change detection.
     ///
     /// # Errors
@@ -867,7 +817,7 @@ impl ModelRegistry {
             .source
             .as_ref()
             .ok_or_else(|| not_found(name, "entry has no source file"))?;
-        let loaded = self.load_path(&source.path, source.mode)?;
+        let loaded = self.load_path(&source.path)?;
         let reloaded = self.try_write(|entries, generation| {
             // Only replace the exact generation the reload decision was
             // made against; a concurrent swap or load is fresher than the
@@ -1141,7 +1091,7 @@ struct Loaded {
 }
 
 /// The determinism fingerprint of an entry's payload, over the artifact's
-/// instruction count — so every load mode of one model agrees (see
+/// instruction count — so every load path of one model agrees (see
 /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).
 fn entry_fingerprint(model: &ModelEntry) -> u64 {
     use crate::compiled::KernelLoad;
@@ -1151,8 +1101,8 @@ fn entry_fingerprint(model: &ModelEntry) -> u64 {
     }
 }
 
-/// Reads a watched file *stably* through `read` (a heap read or a mapped
-/// open): stat, read, re-stat, and accept only when the metadata did not
+/// Reads a watched file *stably* through `read`: stat, read, re-stat, and
+/// accept only when the metadata did not
 /// move under the read and the byte count matches the observed length.  A
 /// concurrent non-atomic writer makes the stats (or lengths) disagree; the
 /// read is retried up to [`TORN_READ_RETRIES`] times and then rejected as
@@ -1161,18 +1111,17 @@ fn entry_fingerprint(model: &ModelEntry) -> u64 {
 fn read_stable_with(
     io: &dyn ArtifactIo,
     path: &Path,
-    mode: LoadMode,
-    mut read: impl FnMut(&Path) -> Result<FileBuf, ArtifactError>,
-) -> Result<(SourceFile, FileBuf), ArtifactError> {
+    mut read: impl FnMut(&Path) -> Result<Vec<u8>, ArtifactError>,
+) -> Result<(SourceFile, Vec<u8>), ArtifactError> {
     for attempt in 1..=TORN_READ_RETRIES {
-        let before = SourceFile::observe(io, path, mode);
-        let buf = read(path)?;
-        let after = SourceFile::observe(io, path, mode);
+        let before = SourceFile::observe(io, path);
+        let bytes = read(path)?;
+        let after = SourceFile::observe(io, path);
         if before.mtime == after.mtime
             && before.len == after.len
-            && buf.as_slice().len() as u64 == before.len
+            && bytes.len() as u64 == before.len
         {
-            return Ok((before, buf));
+            return Ok((before, bytes));
         }
         palmed_obs::counter!("serve.registry.torn_read_retries").inc();
         palmed_obs::event!(
@@ -1259,11 +1208,6 @@ mod tests {
             ("load_file v1", registry.load_file(&v1).unwrap(), ModelKind::ConjunctiveV1),
             ("load_file v2b", registry.load_file(&v2).unwrap(), ModelKind::ConjunctiveV2b),
             (
-                "load_file_mapped",
-                registry.load_file_mapped(&v2).unwrap(),
-                ModelKind::ConjunctiveV2b,
-            ),
-            (
                 "swap_bytes v1",
                 registry.swap_bytes("sniffed", original.render().into_bytes()).unwrap(),
                 ModelKind::ConjunctiveV1,
@@ -1315,7 +1259,6 @@ mod tests {
         let served = registry.load_file(&path).unwrap();
         assert_eq!(served.serving().unwrap().artifact.machine, "disk-machine");
         assert_eq!(served.source_path(), Some(path.as_path()));
-        assert_eq!(served.load_mode(), Some(LoadMode::Full));
         std::fs::remove_file(&path).ok();
         assert!(registry.get("disk-machine").is_some());
         assert!(registry.load_file(&path).is_err());
@@ -1356,31 +1299,6 @@ mod tests {
         assert_eq!(serving.artifact.mapping(), original.mapping());
         assert!(serving.artifact.mapping_ready());
         assert_eq!(serving.artifact, original);
-    }
-
-    #[test]
-    fn mapped_load_serves_bit_identically_to_the_heap_load() {
-        let path = std::env::temp_dir().join("palmed-serve-registry-mapped.palmed2");
-        let original = artifact("mapped-machine", 0.5);
-        original.save_v2(&path).unwrap();
-        let registry = ModelRegistry::new();
-        let entry = registry.load_file_mapped(&path).unwrap();
-        let serving = entry.serving().unwrap();
-        assert_eq!(entry.load_mode(), Some(LoadMode::Mapped));
-        assert!(!serving.artifact.mapping_ready());
-        let k = Microkernel::pair(InstId(2), 2, InstId(3), 1);
-        let owned = original.compile();
-        let view = serving.view();
-        let mut scratch = view.scratch();
-        let mut owned_scratch = owned.scratch();
-        assert_eq!(
-            view.ipc_with(&k, &mut scratch).map(f64::to_bits),
-            owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
-        );
-        // The mapping (when the platform provides one) pins the inode; the
-        // entry keeps serving after the directory entry is gone.
-        std::fs::remove_file(&path).ok();
-        assert!(serving.bytes().starts_with(b"PALMED-MODEL v2b\n"));
     }
 
     #[test]
@@ -1574,25 +1492,25 @@ mod tests {
         // A reader that rewrites the file once mid-read: first attempt is
         // torn, the retry succeeds.
         let mut first = true;
-        let (source, buf) = read_stable_with(&RealIo, &path, LoadMode::Full, |p| {
+        let (source, bytes) = read_stable_with(&RealIo, &path, |p| {
             let bytes = std::fs::read(p)?;
             if first {
                 first = false;
                 std::fs::write(p, b"rewritten mid-read!!").unwrap();
             }
-            Ok(FileBuf::Heap(bytes))
+            Ok(bytes)
         })
         .unwrap();
-        assert_eq!(buf.as_slice(), b"rewritten mid-read!!");
-        assert_eq!(source.len, buf.as_slice().len() as u64);
+        assert_eq!(bytes, b"rewritten mid-read!!");
+        assert_eq!(source.len, bytes.len() as u64);
 
         // A writer racing every read exhausts the retries.
         let mut flip = false;
-        let torn = read_stable_with(&RealIo, &path, LoadMode::Full, |p| {
+        let torn = read_stable_with(&RealIo, &path, |p| {
             let bytes = std::fs::read(p)?;
             flip = !flip;
             std::fs::write(p, if flip { &b"aaaa"[..] } else { &b"bbbbbb"[..] }).unwrap();
-            Ok(FileBuf::Heap(bytes))
+            Ok(bytes)
         });
         match torn {
             Err(ArtifactError::TornRead { path: p }) => assert_eq!(p, path),
@@ -1602,9 +1520,7 @@ mod tests {
         // Read errors propagate as-is, without retrying into TornRead.
         let missing = dir.join("palmed-serve-registry-torn-missing.bin");
         assert!(matches!(
-            read_stable_with(&RealIo, &missing, LoadMode::Full, |p| {
-                Ok(FileBuf::Heap(std::fs::read(p)?))
-            }),
+            read_stable_with(&RealIo, &missing, |p| Ok(std::fs::read(p)?)),
             Err(ArtifactError::Io(_))
         ));
         std::fs::remove_file(&path).ok();

@@ -78,14 +78,14 @@ fn main() {
         }
     }
 
-    // 6. Save the binary v2b artifact and map it straight off the page
-    //    cache: the registry retains the bytes, predictions run through a
-    //    borrowed view aliasing them, and the dense mapping is never
-    //    rebuilt unless something explicitly asks for it.
+    // 6. Save the binary v2b artifact and load it: the registry retains
+    //    the bytes it read, predictions run through a borrowed view
+    //    aliasing them, and the dense mapping is never rebuilt unless
+    //    something explicitly asks for it.
     let v2_path = dir.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2b artifact saves");
     let zero_copy = ModelRegistry::new();
-    let serving_entry = zero_copy.load_file_mapped(&v2_path).expect("v2b load validates");
+    let serving_entry = zero_copy.load_file(&v2_path).expect("v2b load validates");
     let serving = serving_entry.serving().expect("conjunctive entry");
     let borrowed = serving.batch().predict_prepared(&prepared);
     assert!(!serving.artifact.mapping_ready(), "serving never rebuilds the dense rows");
@@ -93,8 +93,7 @@ fn main() {
         assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "v1 and v2b loads agree, bit for bit");
     }
     println!(
-        "v2b reload: zero-copy view ({}), {} blocks re-served bit-identically, mapping deferred",
-        if serving.is_mapped() { "mmap-backed" } else { "heap buffer" },
+        "v2b reload: zero-copy view, {} blocks re-served bit-identically, mapping deferred",
         borrowed.ipcs.len()
     );
 }

@@ -1,16 +1,22 @@
 //! Registry behaviour at the edges the happy-path suites never reach:
 //! deterministic filesystem fault injection ([`palmed_fuzz::fault::FaultyIo`]
 //! behind the registry's [`ArtifactIo`](palmed_serve::ArtifactIo) seam), the
-//! torn-read accounting of both load modes, and the health-accounting
-//! corners — readmitting entries that were never quarantined, health rows
-//! after removal, and a file restored while its backoff is still draining.
+//! torn-read accounting of file loads, entries whose file is rewritten,
+//! truncated or replaced in place on the real filesystem, and the
+//! health-accounting corners — readmitting entries that were never
+//! quarantined, health rows after removal, and a file restored while its
+//! backoff is still draining.
 
 use palmed_core::ConjunctiveMapping;
 use palmed_fuzz::fault::{Fault, FaultyIo};
-use palmed_integration_tests::incident::WatchedArtifact;
-use palmed_isa::{InstId, InstructionSet};
+use palmed_integration_tests::incident::{scratch_file, WatchedArtifact};
+use palmed_isa::{InstId, InstructionSet, Microkernel};
 use palmed_obs::FieldValue;
-use palmed_serve::{ArtifactIo, ModelArtifact, ModelRegistry, RefreshStatus};
+use palmed_serve::registry::QUARANTINE_AFTER;
+use palmed_serve::{
+    ArtifactIo, KernelLoad, ModelArtifact, ModelRegistry, RefreshStatus, RegistryEntry,
+};
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -105,27 +111,7 @@ fn a_file_restored_mid_backoff_recovers_and_resets_the_failure_counter() {
 }
 
 #[test]
-fn mapped_loads_fall_back_to_heap_when_the_io_cannot_mmap() {
-    let (io, registry) = faulty_registry();
-    let art = artifact("heap-fallback", 0.5);
-    let path = Path::new("/sim/heap-fallback.palmed2");
-    io.write(path, art.render_v2());
-
-    // FaultyIo does not implement `open_buf`, so the mapped load takes the
-    // default read-to-heap path — and must behave identically to a file
-    // mapping.
-    let entry = registry.load_file_mapped(path).unwrap();
-    assert_eq!(entry.name(), "heap-fallback");
-    assert_eq!(entry.fingerprint(), art.fingerprint());
-    assert_eq!(
-        entry.serving().expect("v2b loads install conjunctive entries").bytes(),
-        io.contents(path).unwrap(),
-        "the heap fallback serves the exact on-disk bytes"
-    );
-}
-
-#[test]
-fn mapped_loads_account_torn_reads_exactly_like_heap_loads() {
+fn torn_reads_are_retried_with_one_event_per_counted_retry() {
     let _torn = TORN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     palmed_obs::set_enabled(true);
     let art = artifact("torn-accounting", 0.5);
@@ -145,38 +131,119 @@ fn mapped_loads_account_torn_reads_exactly_like_heap_loads() {
         }),
     ];
     for (script, fault) in scripts {
-        let mut accounting = Vec::new();
-        for mapped in [false, true] {
-            let (io, registry) = faulty_registry();
-            let path = Path::new(if mapped {
-                "/sim/torn-mapped.palmed2"
-            } else {
-                "/sim/torn-heap.palmed2"
-            });
-            fault(&io, path, art.render_v2());
-            let _ = palmed_obs::drain_events();
-            let before = retries();
-            let entry =
-                if mapped { registry.load_file_mapped(path) } else { registry.load_file(path) }
-                    .unwrap_or_else(|e| {
-                        panic!("{script} (mapped: {mapped}): the load recovers: {e}")
-                    });
-            assert_eq!(entry.fingerprint(), art.fingerprint(), "{script} (mapped: {mapped})");
-            let counted = retries() - before;
-            let path_field = FieldValue::Str(path.display().to_string());
-            let attempts: Vec<FieldValue> = palmed_obs::drain_events()
-                .0
-                .iter()
-                .filter(|e| e.name == "registry.torn_read_retry")
-                .filter(|e| e.field("path") == Some(&path_field))
-                .filter_map(|e| e.field("attempt").cloned())
-                .collect();
-            assert_eq!(attempts.len() as u64, counted, "{script}: one event per counted retry");
-            accounting.push((counted, attempts));
-        }
-        assert!(accounting[0].0 > 0, "{script}: the heap load retried");
-        assert_eq!(accounting[0], accounting[1], "{script}: mapped deltas equal the heap ones");
+        let (io, registry) = faulty_registry();
+        let path = Path::new("/sim/torn-heap.palmed2");
+        fault(&io, path, art.render_v2());
+        let _ = palmed_obs::drain_events();
+        let before = retries();
+        let entry = registry
+            .load_file(path)
+            .unwrap_or_else(|e| panic!("{script}: the load recovers: {e}"));
+        assert_eq!(entry.fingerprint(), art.fingerprint(), "{script}");
+        let counted = retries() - before;
+        let path_field = FieldValue::Str(path.display().to_string());
+        let attempts = palmed_obs::drain_events()
+            .0
+            .iter()
+            .filter(|e| e.name == "registry.torn_read_retry")
+            .filter(|e| e.field("path") == Some(&path_field))
+            .filter(|e| e.field("attempt").is_some())
+            .count();
+        assert!(counted > 0, "{script}: the load retried");
+        assert_eq!(attempts as u64, counted, "{script}: one event per counted retry");
     }
+}
+
+/// The exact bits `entry` predicts on a few covered and uncovered kernels.
+fn predicted_bits(entry: &RegistryEntry) -> Vec<Option<u64>> {
+    let kernels = [
+        Microkernel::single(InstId(0)),
+        Microkernel::single(InstId(2)),
+        Microkernel::pair(InstId(2), 3, InstId(0), 1),
+        Microkernel::single(InstId(1)),
+    ];
+    let serving = entry.serving().expect("conjunctive entry");
+    serving.batch().predict(&kernels).ipcs.iter().map(|ipc| ipc.map(f64::to_bits)).collect()
+}
+
+/// Asserts that `entry` still serves the snapshot it was installed with:
+/// the same predicted bits, and a view that still fingerprints as the
+/// entry recorded at install.
+fn assert_serves_its_snapshot(entry: &RegistryEntry, bits: &[Option<u64>], case: &str) {
+    assert_eq!(predicted_bits(entry), bits, "{case}: `{}` predicts as installed", entry.name());
+    let serving = entry.serving().expect("conjunctive entry");
+    let n = serving.artifact.instructions.len();
+    assert_eq!(serving.view().fingerprint(n), entry.fingerprint(), "{case}: view fingerprint");
+}
+
+#[test]
+fn loaded_entries_keep_serving_their_verified_bytes_when_the_file_changes_in_place() {
+    let path = scratch_file("palmed-it-in-place-rewrite.palmed2");
+    let name = "in-place";
+    let original = artifact(name, 0.5);
+    std::fs::write(&path, original.render_v2()).unwrap();
+    let registry = ModelRegistry::new();
+    let first = registry.load_file(&path).unwrap();
+    let first_bits = predicted_bits(&first);
+    assert_eq!(first.fingerprint(), original.fingerprint());
+
+    // After each change to the file, every entry installed so far still
+    // serves its own snapshot; then a refresh either installs the file's
+    // new bytes, verified, or leaves the last good generation serving.
+    let mut last_good = Arc::clone(&first);
+    let mut last_good_bits = first_bits.clone();
+    let mut after_change = |case: &str, polls: usize, expect_reload: Option<&ModelArtifact>| {
+        assert_serves_its_snapshot(&first, &first_bits, case);
+        assert_serves_its_snapshot(&last_good, &last_good_bits, case);
+        let mut reloaded = false;
+        for _ in 0..polls {
+            let outcome = registry.refresh();
+            let current = registry.get(name).expect("the entry never disappears");
+            if outcome.reloaded.iter().any(|n| n == name) {
+                let fresh = ModelArtifact::parse_bytes(&std::fs::read(&path).unwrap()).unwrap();
+                assert_eq!(current.fingerprint(), fresh.fingerprint(), "{case}: verified reload");
+                assert_eq!(current.serving().unwrap().bytes(), &fresh.render_v2()[..]);
+                last_good_bits = predicted_bits(&current);
+                last_good = current;
+                reloaded = true;
+                break;
+            }
+            assert!(Arc::ptr_eq(&current, &last_good), "{case}: the last good generation serves");
+            assert_serves_its_snapshot(&current, &last_good_bits, case);
+        }
+        if let Some(expected) = expect_reload {
+            assert!(reloaded, "{case}: the new file installs");
+            assert_eq!(last_good.fingerprint(), expected.fingerprint(), "{case}");
+        }
+        assert_serves_its_snapshot(&first, &first_bits, case);
+    };
+
+    // A same-length rewrite through an open handle, no truncation: the
+    // bytes change under the path while the length stays put.
+    let rewrite = artifact(name, 0.75).render_v2();
+    assert_eq!(rewrite.len(), original.render_v2().len(), "an in-place rewrite keeps the length");
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.write_all(&rewrite).unwrap();
+    drop(file);
+    after_change("same-length in-place rewrite", 1, None);
+
+    // Truncation to zero: the reload must fail and the last good serve.
+    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+    let failures_before = registry.health()[0].consecutive_failures;
+    after_change("truncation", 1, None);
+    assert_eq!(registry.health()[0].consecutive_failures, failures_before + 1);
+
+    // `std::fs::write` of a different model (it truncates first, then
+    // writes): once the backoff drains, the new model installs.
+    let replacement = ModelArtifact::new(
+        name,
+        "replaced-by-fs-write",
+        InstructionSet::paper_example(),
+        artifact(name, 2.0).mapping().clone(),
+    );
+    std::fs::write(&path, replacement.render_v2()).unwrap();
+    after_change("replacement by std::fs::write", QUARANTINE_AFTER as usize, Some(&replacement));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! shallow rejections forever.  This module keeps a **seed queue** of
 //! mutants that proved *interesting* — they produced a first-seen rejection
 //! class, a first-seen `(class, offset bucket)` coverage pair
-//! ([`crate::offset_bucket`]), or landed in the top decile of case times
-//! (the slowest-case signal the `--stats` report surfaces) — and spends
+//! ([`crate::offset_bucket`]), or landed in the top decile of decoder
+//! work (bytes the decoders walked, a deterministic stand-in for the
+//! slowest-case signal the `--stats` report surfaces) — and spends
 //! most of its budget stacking further mutations onto queued entries
 //! instead of starting over.  Selection is **energy-biased**: a queued
 //! entry whose rejection class is rare (per the `fuzz.reject.<class>`
@@ -14,9 +15,11 @@
 //! otherwise) is picked proportionally more often, so the scheduler digs
 //! where the codecs have been probed least.
 //!
-//! Everything stays deterministic for a given `(iters, seed)` except the
-//! timing admissions; any queued entry replays exactly — it records its
-//! origin case and full mutation trail, and carries the literal bytes.
+//! The queue, the admissions and the coverage are deterministic for a
+//! given `(iters, seed)` and, with the obs layer armed, the rejection
+//! counters the run starts from; only the `--stats` case times vary.  Any
+//! queued entry replays exactly — it records its origin case and full
+//! mutation trail, and carries the literal bytes.
 //! Violating cases are automatically **minimized** ([`minimize_with`])
 //! before they are reported, so a finding arrives as the smallest byte
 //! string that still trips the invariant.
@@ -25,6 +28,7 @@ use crate::{
     check_all, coverage_key, generate_case, inventory, rehash_binary, walk_disj, walk_v2b,
     CaseOutcome, Format, FuzzSummary, Violation,
 };
+use palmed_isa::InstructionSet;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -312,6 +316,25 @@ fn mutate_queued(entry: &QueueEntry, rng: &mut TestRng) -> (Vec<u8>, Vec<String>
     mutate_blind(&entry.bytes, rng)
 }
 
+/// Runs [`check_all`] and returns the bytes its decoders walked: the whole
+/// buffer per accepting entry point, up to the rejection offset (the whole
+/// buffer when none is reported) per rejecting one.
+fn check_walked(
+    bytes: &[u8],
+    insts: &InstructionSet,
+    outcome: &mut CaseOutcome,
+    report: impl FnMut(String),
+) -> u64 {
+    let (accepted, rejections) = (outcome.accepted, outcome.rejections.len());
+    check_all(bytes, insts, outcome, report);
+    let len = bytes.len() as u64;
+    let rejected: u64 = outcome.rejections[rejections..]
+        .iter()
+        .map(|record| record.offset.map_or(len, |at| (at as u64).min(len)))
+        .sum();
+    u64::from(outcome.accepted - accepted) * len + rejected
+}
+
 /// Runs `iters` coverage-guided cases starting at corpus case `seed`.
 ///
 /// The first `iters/8` cases are a uniform warmup identical to
@@ -327,7 +350,7 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
     let mut result = GuidedSummary::default();
     let mut queue: Vec<QueueEntry> = Vec::new();
     let mut local_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut times: Vec<u64> = Vec::new();
+    let mut costs: Vec<u64> = Vec::new();
     let mut slow_threshold = u64::MAX;
     let warmup = (iters / 8).max(1);
 
@@ -338,6 +361,7 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
         let fresh = warm || queue.is_empty() || sched_rng.next_f64() < 0.25;
 
         let started = Instant::now();
+        let mut cost = 0u64;
         let (format, origin_case, bytes, trail, outcome) = if fresh {
             result.corpus_cases += 1;
             let format = Format::ALL[(i % 4) as usize];
@@ -356,8 +380,10 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
             }
             let mut outcome = CaseOutcome::default();
             let mut details = Vec::new();
-            check_all(&seed_buf, &insts, &mut outcome, |d| details.push(("<unmutated seed>", d)));
-            check_all(&mutant, &insts, &mut outcome, |d| details.push(("mutant", d)));
+            cost += check_walked(&seed_buf, &insts, &mut outcome, |d| {
+                details.push(("<unmutated seed>", d))
+            });
+            cost += check_walked(&mutant, &insts, &mut outcome, |d| details.push(("mutant", d)));
             for (stage, detail) in details {
                 let mutations = if stage == "mutant" {
                     mutations.clone()
@@ -389,7 +415,7 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
                 let mut trail = entry.mutations.clone();
                 trail.extend(new_ops);
                 let mut details = Vec::new();
-                check_all(&mutant, &insts, &mut outcome, |d| details.push(d));
+                cost += check_walked(&mutant, &insts, &mut outcome, |d| details.push(d));
                 for detail in details {
                     outcome.violations.push(Violation {
                         format: entry.format,
@@ -427,8 +453,9 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
             });
         }
 
-        // Admission: first-seen class, first-seen coverage pair, or a
-        // top-decile case time.
+        // Admission: first-seen class, first-seen coverage pair, or
+        // top-decile decoder work.  Work, not wall time, so the same seed
+        // admits the same entries on every run.
         let mut why: Option<(String, Option<&'static str>)> = None;
         for record in &outcome.rejections {
             let pair = coverage_key(record);
@@ -454,12 +481,12 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
             // error instead of re-tripping an existing one.
             why = Some(("accepted".to_string(), None));
         }
-        if why.is_none() && times.len() >= 64 && ns >= slow_threshold {
+        if why.is_none() && costs.len() >= 64 && cost >= slow_threshold {
             why = Some(("slow".to_string(), None));
         }
-        times.push(ns);
-        if times.len().is_multiple_of(64) {
-            let mut sorted = times.clone();
+        costs.push(cost);
+        if costs.len().is_multiple_of(64) {
+            let mut sorted = costs.clone();
             let at = sorted.len() * 9 / 10;
             slow_threshold = *sorted.select_nth_unstable(at).1;
         }
@@ -514,6 +541,15 @@ mod tests {
         assert!(result.final_queue > 0, "interesting mutants must be admitted");
         assert!(result.admitted_total >= result.admitted_warmup);
         assert!(!result.summary.coverage.is_empty());
+    }
+
+    #[test]
+    fn guided_run_replays_exactly() {
+        // Admission uses no wall-clock signal, so a seed is one schedule.
+        let (a, b) = (run_guided(600, 1), run_guided(600, 1));
+        assert_eq!(a.summary.coverage, b.summary.coverage);
+        assert_eq!((a.admitted_warmup, a.admitted_total), (b.admitted_warmup, b.admitted_total));
+        assert_eq!((a.corpus_cases, a.mutated_cases), (b.corpus_cases, b.mutated_cases));
     }
 
     #[test]

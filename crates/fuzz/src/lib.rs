@@ -220,8 +220,8 @@ pub struct FuzzSummary {
     pub rejections_with_offset: u64,
     /// Every violation found.
     pub violations: Vec<Violation>,
-    /// The [`SLOWEST_KEPT`] slowest cases, slowest first — the seed of the
-    /// coverage/profile-guided scheduling signal.
+    /// The [`SLOWEST_KEPT`] slowest cases by wall time, slowest first —
+    /// the `--stats` profiling report.
     pub slowest: Vec<SlowCase>,
     /// Distinct `(rejection class, offset bucket)` pairs observed — the
     /// coverage measure the guided scheduler competes with the uniform one

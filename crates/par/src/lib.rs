@@ -15,10 +15,18 @@
 //!   behaviour is identical on constrained machines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Number of worker threads used for a workload of `len` items.
+/// Number of worker threads used for a workload of `len` items.  The core
+/// count is asked of the OS once per process: the query costs tens of
+/// microseconds, which a per-request `par_map` would otherwise pay each time.
 fn thread_count(len: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    if len <= 1 {
+        return len;
+    }
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     cores.min(len)
 }
 
@@ -36,7 +44,7 @@ pub fn par_map_indexed<T: Sync, R: Send>(
     f: impl Fn(usize, &T) -> R + Sync,
 ) -> Vec<R> {
     let threads = thread_count(items.len());
-    if threads <= 1 || items.len() <= 1 {
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
 

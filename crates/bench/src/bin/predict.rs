@@ -183,7 +183,7 @@ fn main() {
     );
     let start = Instant::now();
     let mut mismatches = 0usize;
-    for ((_, kernel), served_ipc) in corpus.iter().zip(&result.ipcs) {
+    for ((_, _, kernel), served_ipc) in corpus.iter().zip(&result.ipcs) {
         let reference = inferred.mapping.ipc(kernel);
         if reference.map(f64::to_bits) != served_ipc.map(f64::to_bits) {
             mismatches += 1;
@@ -261,7 +261,7 @@ fn main() {
     let disj = disj_entry.disjunctive().expect("disjunctive entry");
     let disj_mismatches = corpus
         .iter()
-        .filter(|(_, kernel)| {
+        .filter(|(_, _, kernel)| {
             pmevo.predict_ipc(kernel).map(f64::to_bits)
                 != disj.compiled.predict_ipc(kernel).map(f64::to_bits)
         })
@@ -395,7 +395,7 @@ fn main() {
     // ---- 8. The observability snapshot must cover the whole walk. ----
     // Serve a deliberately duplicated batch first so the dedup counter is
     // provably non-zero even when every corpus block is distinct.
-    let (_, first_kernel) = corpus.iter().next().expect("corpus is non-empty");
+    let (_, _, first_kernel) = corpus.iter().next().expect("corpus is non-empty");
     let duplicated: Vec<_> = std::iter::repeat_n(first_kernel.clone(), 8).collect();
     let _ = batch.predict(&duplicated);
 

@@ -5,7 +5,7 @@
 //! executed in the original benchmark run (the weights enter the RMS error).
 
 use palmed_isa::{InstructionSet, Microkernel};
-use palmed_serve::{Corpus, CorpusBlock};
+use palmed_serve::Corpus;
 
 /// One basic block of a benchmark suite: an instruction mix plus a dynamic
 /// execution weight.
@@ -44,22 +44,20 @@ impl BasicBlock {
             self.kernel.display_with(|i| insts.name(i).to_string())
         )
     }
-
-    /// Builds a block from a corpus entry, resolving the interned kernel.
-    pub fn from_corpus_block(corpus: &Corpus, block: &CorpusBlock) -> BasicBlock {
-        BasicBlock::new(block.name.clone(), corpus.kernel(block.kernel).clone(), block.weight)
-    }
 }
 
 /// Converts a generated suite into a saveable [`Corpus`] (kernels are
 /// interned as they are appended).
 pub fn blocks_to_corpus(blocks: &[BasicBlock]) -> Corpus {
-    blocks.iter().map(|b| (b.name.clone(), b.weight, b.kernel.clone())).collect()
+    blocks.iter().map(|b| (&b.name, b.weight, b.kernel.clone())).collect()
 }
 
 /// Converts a loaded [`Corpus`] into evaluation blocks.
 pub fn corpus_to_blocks(corpus: &Corpus) -> Vec<BasicBlock> {
-    corpus.blocks().iter().map(|block| BasicBlock::from_corpus_block(corpus, block)).collect()
+    corpus
+        .iter()
+        .map(|(name, block, kernel)| BasicBlock::new(name, kernel.clone(), block.weight))
+        .collect()
 }
 
 #[cfg(test)]

@@ -250,6 +250,22 @@ impl Microkernel {
         &self.counts
     }
 
+    /// Copies pairs already in the form [`as_slice`](Self::as_slice)
+    /// returns into a kernel allocated at exactly their length, e.g. a
+    /// parser's reusable scratch buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the ids are strictly increasing and every multiplicity
+    /// is > 0.
+    pub fn from_sorted_slice(counts: &[(InstId, u32)]) -> Self {
+        assert!(
+            counts.iter().all(|&(_, c)| c > 0) && counts.windows(2).all(|w| w[0].0 < w[1].0),
+            "kernel pairs are not sorted by strictly increasing id with counts > 0"
+        );
+        Self { counts: counts.to_vec() }
+    }
+
     /// Iterates over `(instruction, multiplicity)` pairs in instruction order.
     pub fn iter(&self) -> impl Iterator<Item = (InstId, u32)> + '_ {
         self.counts.iter().copied()
@@ -399,6 +415,22 @@ mod tests {
         let k = Microkernel::from_counts([(i(9), 1), (i(2), 3), (i(9), 1), (i(5), 2)]);
         assert_eq!(k.as_slice(), &[(i(2), 3), (i(5), 2), (i(9), 2)]);
         assert_eq!(k.iter().collect::<Vec<_>>(), k.as_slice());
+    }
+
+    #[test]
+    fn from_sorted_slice_round_trips_as_slice() {
+        let k = Microkernel::from_counts([(i(9), 1), (i(2), 3), (i(5), 2)]);
+        let copy = Microkernel::from_sorted_slice(k.as_slice());
+        assert_eq!(copy, k);
+        assert_eq!(copy.as_slice().len(), copy.counts.capacity());
+        assert_eq!(Microkernel::from_sorted_slice(&[]), Microkernel::new());
+    }
+
+    #[test]
+    fn from_sorted_slice_rejects_non_canonical_pairs() {
+        for bad in [&[(i(2), 1), (i(1), 1)][..], &[(i(1), 1), (i(1), 1)], &[(i(1), 0)]] {
+            assert!(std::panic::catch_unwind(|| Microkernel::from_sorted_slice(bad)).is_err());
+        }
     }
 
     #[test]

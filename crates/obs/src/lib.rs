@@ -61,6 +61,8 @@
 //! | `serve.batch.dedup_hits` | C | inputs answered by dedup (`inputs − distinct`) |
 //! | `serve.batch.serve_ns` | H | wall time of each serve call |
 //! | `serve.ingest.prepared_batches` | C | `PreparedBatch` constructions |
+//! | `serve.corpus.parse_ns` | H | wall time of each `Corpus::parse` call, accepted or rejected |
+//! | `serve.corpus.blocks` | C | blocks in the corpora `Corpus::parse` accepted |
 //! | `serve.registry.installs` | C | models installed into a registry |
 //! | `serve.registry.swaps` | C | generation-bumping snapshot swaps |
 //! | `serve.registry.reloads` | C | successful file reloads |

@@ -14,9 +14,25 @@
 //! The set is insert-only, so shared ids stay valid forever; a corpus that
 //! keeps growing after it was shared copies-on-write (see
 //! [`Corpus::push`]).
+//!
+//! # One pass per line
+//!
+//! Parsing is the largest stage of serving a request, so [`Corpus::parse`]
+//! reads each block line in a single byte scan.  The scan splits tokens on
+//! exactly the separators `char::is_whitespace` accepts — ASCII
+//! `0x09..=0x0D` and space are tested directly, and a char is decoded only
+//! at the four lead bytes that can start a non-ASCII whitespace char — and
+//! notes where each token's first `×` sits on the way, so an entry is split
+//! without a second search.  Each entry is added, sorted, to one scratch
+//! `(instruction, count)` buffer reused across lines; the finished buffer is
+//! copied into an exact-size [`Microkernel`]
+//! ([`Microkernel::from_sorted_slice`]) and interned.  Block names live in
+//! one per-corpus string buffer, the corpus recording where each name ends,
+//! so a name costs no heap allocation of its own; names are read through
+//! the corpus ([`Corpus::name`], [`Corpus::iter`]), never through a block.
 
-use palmed_isa::{InstructionSet, KernelId, KernelSet, Microkernel};
-use std::fmt;
+use palmed_isa::{InstId, InstructionSet, KernelId, KernelSet, Microkernel};
+use std::fmt::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -24,11 +40,13 @@ use std::sync::Arc;
 const HEADER: &str = "PALMED-CORPUS v1";
 
 /// One weighted basic block of a workload.  The instruction mix lives in the
-/// owning [`Corpus`]'s kernel set; resolve it with [`Corpus::kernel`].
+/// owning [`Corpus`]'s kernel set (resolve it with [`Corpus::kernel`]), and
+/// the name in the corpus's name buffer (read it with [`Corpus::name`] or
+/// [`Corpus::iter`]).  Equality compares the weight and the kernel id, so
+/// it says "same mix" only for blocks of one corpus; compare whole
+/// [`Corpus`] values to compare names and kernels too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusBlock {
-    /// Identifier (unique names are recommended but not enforced).
-    pub name: String,
     /// Dynamic execution weight (≥ 0, finite).
     pub weight: f64,
     /// Interned id of the block's dependency-free instruction mix.
@@ -40,6 +58,11 @@ pub struct CorpusBlock {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Corpus {
     blocks: Vec<CorpusBlock>,
+    /// Every block name, concatenated in block order.
+    names: String,
+    /// Where each block's name ends in `names` (it starts where the previous
+    /// one ends).
+    name_ends: Vec<usize>,
     kernels: Arc<KernelSet>,
 }
 
@@ -114,6 +137,17 @@ impl Corpus {
         &self.blocks
     }
 
+    /// The identifier of block `index` (unique names are recommended but
+    /// not enforced).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`len`](Self::len).
+    pub fn name(&self, index: usize) -> &str {
+        let start = if index == 0 { 0 } else { self.name_ends[index - 1] };
+        &self.names[start..self.name_ends[index]]
+    }
+
     /// The interned distinct kernels of this corpus (first-occurrence order).
     pub fn kernels(&self) -> &KernelSet {
         &self.kernels
@@ -146,16 +180,23 @@ impl Corpus {
     /// # Panics
     ///
     /// Panics if the weight is negative or not finite.
-    pub fn push(&mut self, name: impl Into<String>, weight: f64, kernel: Microkernel) -> KernelId {
+    pub fn push(&mut self, name: impl AsRef<str>, weight: f64, kernel: Microkernel) -> KernelId {
         assert!(weight.is_finite() && weight >= 0.0, "invalid weight {weight}");
         let kernel = Arc::make_mut(&mut self.kernels).intern_owned(kernel);
-        self.blocks.push(CorpusBlock { name: name.into(), weight, kernel });
+        self.push_interned(name.as_ref(), weight, kernel);
         kernel
     }
 
-    /// Iterates over `(block, kernel)` pairs in file order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CorpusBlock, &Microkernel)> {
-        self.blocks.iter().map(|b| (b, self.kernels.get(b.kernel)))
+    /// Appends a block whose kernel is already interned in this corpus.
+    fn push_interned(&mut self, name: &str, weight: f64, kernel: KernelId) {
+        self.names.push_str(name);
+        self.name_ends.push(self.names.len());
+        self.blocks.push(CorpusBlock { weight, kernel });
+    }
+
+    /// Iterates over `(name, block, kernel)` triples in file order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &CorpusBlock, &Microkernel)> {
+        self.blocks.iter().enumerate().map(|(i, b)| (self.name(i), b, self.kernels.get(b.kernel)))
     }
 
     /// Sum of the block weights.
@@ -173,19 +214,16 @@ impl Corpus {
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');
-        for (block, kernel) in self.iter() {
-            let mut name: String = block
-                .name
-                .chars()
-                .map(|c| if c.is_whitespace() { '_' } else { c })
-                .collect();
+        for (name, block, kernel) in self.iter() {
             // A leading '#' would turn the block into a comment on reload.
             if name.is_empty() || name.starts_with('#') {
-                name.insert(0, '_');
+                out.push('_');
             }
-            out.push_str(&format!("{name} {}", block.weight));
+            out.extend(name.chars().map(|c| if c.is_whitespace() { '_' } else { c }));
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, " {}", block.weight);
             for (inst, count) in kernel.iter() {
-                out.push_str(&format!(" {}×{}", insts.name(inst), count));
+                let _ = write!(out, " {}×{count}", insts.name(inst));
             }
             out.push('\n');
         }
@@ -193,13 +231,193 @@ impl Corpus {
     }
 
     /// Parses a corpus, resolving instruction names through `insts` and
-    /// interning every block's kernel as it is read.
+    /// interning every block's kernel as it is read.  Records the
+    /// `serve.corpus.parse_ns` histogram and the `serve.corpus.blocks`
+    /// counter while observability is enabled.
     ///
     /// # Errors
     ///
     /// Returns a [`CorpusError`] on a missing header, malformed line, bad
     /// weight/count or unknown instruction name; never panics.
     pub fn parse(text: &str, insts: &InstructionSet) -> Result<Self, CorpusError> {
+        let timer = palmed_obs::start_timer();
+        let parsed = Self::parse_text(text, insts);
+        if let Ok(corpus) = &parsed {
+            palmed_obs::counter!("serve.corpus.blocks").add(corpus.len() as u64);
+        }
+        palmed_obs::histogram!("serve.corpus.parse_ns").record_elapsed(timer);
+        parsed
+    }
+
+    /// The single-pass parser behind [`Corpus::parse`].
+    fn parse_text(text: &str, insts: &InstructionSet) -> Result<Self, CorpusError> {
+        let header_end = text.find('\n').unwrap_or(text.len());
+        if text[..header_end].trim() != HEADER {
+            return Err(CorpusError::MissingHeader);
+        }
+        let mut kernels = KernelSet::new();
+        let mut corpus = Corpus::new();
+        let mut scratch: Vec<(InstId, u32)> = Vec::new();
+        let mut tokens = Tokens { text, pos: header_end };
+        let mut line = 1;
+        // `pos` rests on the previous line's '\n' (or the end of the text).
+        while tokens.pos < text.len() {
+            tokens.pos += 1;
+            line += 1;
+            let line_start = tokens.pos;
+            let malformed = |reason: String| CorpusError::Malformed { line, reason };
+            // The whole trimmed line, only ever built for an error message.
+            let whole = || {
+                let rest = &text[line_start..];
+                rest[..rest.find('\n').unwrap_or(rest.len())].trim()
+            };
+            let Some((name, _)) = tokens.next() else { continue };
+            if name.starts_with('#') {
+                tokens.pos += text[tokens.pos..].find('\n').unwrap_or(text.len() - tokens.pos);
+                continue;
+            }
+            let weight = tokens
+                .next()
+                .and_then(|(w, _)| w.parse::<f64>().ok())
+                .filter(|w| w.is_finite() && *w >= 0.0)
+                .ok_or_else(|| malformed(format!("invalid weight in `{}`", whole())))?;
+            scratch.clear();
+            while let Some((entry, cross)) = tokens.next() {
+                let Some(at) = cross else {
+                    return Err(malformed(format!("expected `<inst>×<count>`, found `{entry}`")));
+                };
+                let (n, c) = (&entry[..at], &entry[at + '×'.len_utf8()..]);
+                let inst =
+                    insts.find(n).ok_or_else(|| malformed(format!("unknown instruction `{n}`")))?;
+                let count = c
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|&c| c > 0)
+                    .ok_or_else(|| malformed(format!("invalid count `{c}` in `{entry}`")))?;
+                // Repeated entries accumulate; reject sums that would
+                // overflow the u32 multiplicity instead of wrapping.
+                match scratch.binary_search_by_key(&inst, |&(i, _)| i) {
+                    Ok(at) => {
+                        scratch[at].1 = scratch[at].1.checked_add(count).ok_or_else(|| {
+                            let l = whole();
+                            malformed(format!("multiplicity overflow for `{entry}` in `{l}`"))
+                        })?;
+                    }
+                    Err(at) => scratch.insert(at, (inst, count)),
+                }
+            }
+            let kernel = kernels.intern_owned(Microkernel::from_sorted_slice(&scratch));
+            corpus.push_interned(name, weight, kernel);
+        }
+        corpus.kernels = Arc::new(kernels);
+        Ok(corpus)
+    }
+
+    /// Saves the rendered corpus to a file.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save(&self, path: impl AsRef<Path>, insts: &InstructionSet) -> Result<(), CorpusError> {
+        std::fs::write(path, self.render(insts))?;
+        Ok(())
+    }
+
+    /// Loads a corpus from a file.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors and every [`CorpusError`] of
+    /// [`Corpus::parse`].
+    pub fn load(path: impl AsRef<Path>, insts: &InstructionSet) -> Result<Self, CorpusError> {
+        Self::parse(&std::fs::read_to_string(path)?, insts)
+    }
+}
+
+impl<N: AsRef<str>> FromIterator<(N, f64, Microkernel)> for Corpus {
+    fn from_iter<T: IntoIterator<Item = (N, f64, Microkernel)>>(iter: T) -> Self {
+        let mut corpus = Corpus::new();
+        for (name, weight, kernel) in iter {
+            corpus.push(name, weight, kernel);
+        }
+        corpus
+    }
+}
+
+/// The tokeniser of [`Corpus::parse`]: yields the whitespace-separated
+/// tokens of one line and stops at the line's `'\n'` without consuming it.
+struct Tokens<'t> {
+    text: &'t str,
+    pos: usize,
+}
+
+impl<'t> Tokens<'t> {
+    /// Byte length of the non-ASCII separator starting at `at`, or 0.  A
+    /// separator is exactly what `char::is_whitespace` accepts, and the only
+    /// non-ASCII ones start with the lead bytes `C2` (U+0085, U+00A0), `E1`
+    /// (U+1680), `E2` (U+2000–U+205F) and `E3` (U+3000): no other char is
+    /// ever decoded.
+    #[inline]
+    fn wide_separator_len(&self, at: usize) -> usize {
+        match self.text.as_bytes()[at] {
+            0xC2 | 0xE1 | 0xE2 | 0xE3 => match self.text[at..].chars().next() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => 0,
+            },
+            _ => 0,
+        }
+    }
+
+    /// The next token of the current line, with the byte offset of its
+    /// first `×` (U+00D7, bytes `C3 97`) when it has one; `None` at the end
+    /// of the line.
+    fn next(&mut self) -> Option<(&'t str, Option<usize>)> {
+        let bytes = self.text.as_bytes();
+        loop {
+            // ASCII separators are `0x09..=0x0D` and space — `0x0B`
+            // included, unlike for `u8::is_ascii_whitespace`.
+            let width = match *bytes.get(self.pos)? {
+                b'\n' => return None,
+                b' ' | 0x09..=0x0D => 1,
+                0x00..=0x7F => 0,
+                _ => self.wide_separator_len(self.pos),
+            };
+            if width == 0 {
+                break;
+            }
+            self.pos += width;
+        }
+        let start = self.pos;
+        let mut cross = None;
+        while let Some(&byte) = bytes.get(self.pos) {
+            match byte {
+                b' ' | 0x09..=0x0D => break,
+                0x00..=0x7F => self.pos += 1,
+                0xC3 if cross.is_none() && bytes.get(self.pos + 1) == Some(&0x97) => {
+                    cross = Some(self.pos - start);
+                    self.pos += 2;
+                }
+                _ if self.wide_separator_len(self.pos) > 0 => break,
+                // Continuation bytes never equal a lead byte, so stepping
+                // one byte at a time over other chars is safe.
+                _ => self.pos += 1,
+            }
+        }
+        Some((&self.text[start..self.pos], cross))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn insts() -> InstructionSet {
+        InstructionSet::paper_example()
+    }
+
+    /// The `lines()` → `trim()` → `split_whitespace()` → `split_once('×')`
+    /// parser that the single-pass one replaced, kept as its oracle.
+    fn parse_oracle(text: &str, insts: &InstructionSet) -> Result<Corpus, CorpusError> {
         let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
         match lines.next() {
             Some((_, header)) if header == HEADER => {}
@@ -235,8 +453,6 @@ impl Corpus {
                         })?;
                         Ok((inst, count))
                     })?;
-                // Repeated entries accumulate; reject sums that would
-                // overflow the u32 multiplicity instead of wrapping.
                 if kernel.multiplicity(inst).checked_add(count).is_none() {
                     return Err(malformed(
                         line,
@@ -250,44 +466,149 @@ impl Corpus {
         Ok(corpus)
     }
 
-    /// Saves the rendered corpus to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>, insts: &InstructionSet) -> Result<(), CorpusError> {
-        std::fs::write(path, self.render(insts))?;
-        Ok(())
-    }
+    /// SplitMix64: a tiny seeded generator for the differential cases.
+    struct Rng(u64);
 
-    /// Loads a corpus from a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors and every [`CorpusError`] of
-    /// [`Corpus::parse`].
-    pub fn load(path: impl AsRef<Path>, insts: &InstructionSet) -> Result<Self, CorpusError> {
-        Self::parse(&std::fs::read_to_string(path)?, insts)
-    }
-}
-
-impl<N: Into<String>> FromIterator<(N, f64, Microkernel)> for Corpus {
-    fn from_iter<T: IntoIterator<Item = (N, f64, Microkernel)>>(iter: T) -> Self {
-        let mut corpus = Corpus::new();
-        for (name, weight, kernel) in iter {
-            corpus.push(name, weight, kernel);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
-        corpus
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use palmed_isa::InstId;
+    /// Separators: every ASCII and non-ASCII whitespace class, plus `\x1C`,
+    /// which `char::is_whitespace` rejects.
+    const SEPARATORS: &[&str] = &[
+        " ", " ", " ", "\t", "  ", "\r", "\x0B", "\x0C", "\u{85}", "\u{A0}", "\u{1680}",
+        "\u{2009}", "\u{2028}", "\u{205F}", "\u{3000}", "\x1C",
+    ];
+    const NAMES: &[&str] =
+        &["b", "spec/0", "#c", "blöck", "名前", "a×b", "Ã", "é", "x\x1Cy", "ÿ", "\u{2008}"];
+    const WEIGHTS: &[&str] = &[
+        "1", "0", "2.5", "-0", "-1", "+3", "1e3", "1e400", "nan", "inf", "NaN", "x", "4294967295",
+        "é", "1×2",
+    ];
+    const INSTS: &[&str] = &["ADDSS", "BSR", "JMP", "DIVPS", "JNLE", "NOPE", "ADDSSé", "", "#"];
+    const CROSSES: &[&str] = &["×", "×", "×", "×", "××", "x", "", "Ã", "\u{D7}\u{2009}"];
+    const COUNTS: &[&str] = &[
+        "1", "2", "3", "+2", "-1", "0", "007", "4294967295", "4294967296", "2147483648", "1×2",
+        "", "é", "+",
+    ];
 
-    fn insts() -> InstructionSet {
-        InstructionSet::paper_example()
+    fn random_text(rng: &mut Rng) -> String {
+        let mut text = String::new();
+        text.push_str(match rng.below(24) {
+            0 => "",
+            1 => "PALMED-CORPUS v2\n",
+            2 => "\u{3000}PALMED-CORPUS v1\u{85}\n",
+            3 => "PALMED-CORPUS v1\r\n",
+            4 => "PALMED-CORPUS v1",
+            _ => "PALMED-CORPUS v1\n",
+        });
+        let lines = rng.below(6);
+        for i in 0..lines {
+            if rng.below(3) == 0 {
+                text.push_str(rng.pick(SEPARATORS));
+            }
+            match rng.below(12) {
+                0 => text.push_str("# comment × 0"),
+                1 => text.push_str(rng.pick(SEPARATORS)),
+                _ => {
+                    text.push_str(rng.pick(NAMES));
+                    if rng.below(20) > 0 {
+                        text.push_str(rng.pick(SEPARATORS));
+                        text.push_str(if rng.below(3) == 0 { rng.pick(WEIGHTS) } else { "1" });
+                    }
+                    for _ in 0..rng.below(5) {
+                        text.push_str(rng.pick(SEPARATORS));
+                        let (inst, cross, count) = if rng.below(2) == 0 {
+                            (rng.pick(INSTS), rng.pick(CROSSES), rng.pick(COUNTS))
+                        } else {
+                            (rng.pick(&INSTS[..5]), "×", rng.pick(&COUNTS[..4]))
+                        };
+                        text.push_str(inst);
+                        text.push_str(cross);
+                        text.push_str(count);
+                    }
+                }
+            }
+            if rng.below(3) == 0 {
+                text.push_str(rng.pick(SEPARATORS));
+            }
+            if i + 1 < lines || rng.below(2) == 0 {
+                text.push_str(if rng.below(5) == 0 { "\r\n" } else { "\n" });
+            }
+        }
+        text
+    }
+
+    /// Asserts that the single-pass parser and the oracle agree on `text`:
+    /// equal corpora down to weight bits, or identical rejections.  Returns
+    /// whether the text parsed.
+    fn assert_agrees(text: &str, insts: &InstructionSet) -> bool {
+        match (Corpus::parse(text, insts), parse_oracle(text, insts)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.len(), want.len(), "{text:?}");
+                for (i, (g, w)) in got.blocks().iter().zip(want.blocks()).enumerate() {
+                    assert_eq!(got.name(i), want.name(i), "{text:?}");
+                    assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{text:?}");
+                    assert_eq!(g.kernel, w.kernel, "{text:?}");
+                }
+                assert_eq!(got.kernels(), want.kernels(), "{text:?}");
+                for (id, kernel) in got.kernels().iter() {
+                    assert_eq!(got.kernels().hash_of(id), KernelSet::hash_kernel(kernel));
+                }
+                assert_eq!(got, want, "{text:?}");
+                true
+            }
+            (Err(got), Err(want)) => {
+                let line = |e: &CorpusError| match e {
+                    CorpusError::Malformed { line, .. } => Some(*line),
+                    _ => None,
+                };
+                assert_eq!(line(&got), line(&want), "{text:?}");
+                assert_eq!(got.class(), want.class(), "{text:?}");
+                assert_eq!(got.to_string(), want.to_string(), "{text:?}");
+                false
+            }
+            (got, want) => panic!("parsers disagree on {text:?}: {got:?} vs {want:?}"),
+        }
+    }
+
+    #[test]
+    fn single_pass_parser_matches_the_oracle() {
+        const CASES: usize = 100_000;
+        let insts = insts();
+        let mut rng = Rng(0x5EED_C0DE);
+        let parsed = (0..CASES).filter(|_| assert_agrees(&random_text(&mut rng), &insts)).count();
+        // Both outcomes must be well represented for the comparison to
+        // mean anything.
+        assert!(parsed > CASES / 10 && parsed < CASES * 9 / 10, "{parsed} of {CASES} parsed");
+    }
+
+    #[test]
+    fn every_separator_class_splits_like_split_whitespace() {
+        let insts = insts();
+        for sep in SEPARATORS {
+            let text = format!("PALMED-CORPUS v1\nb{sep}1{sep}ADDSS×2{sep}BSR×1\n");
+            assert_agrees(&text, &insts);
+        }
+        // `\x0B` separates; `\x1C` does not.
+        let text = "PALMED-CORPUS v1\nb\x0B1\x0BADDSS×2\n";
+        assert_eq!(Corpus::parse(text, &insts).unwrap().len(), 1);
+        let text = "PALMED-CORPUS v1\nb\x1C1 ADDSS×2\n";
+        assert!(Corpus::parse(text, &insts).is_err());
     }
 
     fn example(insts: &InstructionSet) -> Corpus {
@@ -312,10 +633,25 @@ mod tests {
         assert_eq!(reloaded.len(), 3);
         assert_eq!(reloaded.blocks()[0], corpus.blocks()[0]);
         assert_eq!(reloaded.blocks()[1], corpus.blocks()[1]);
+        assert_eq!(reloaded.name(0), "spec/0");
+        assert_eq!(reloaded.name(1), "spec/1");
         // Whitespace in names is sanitised on write.
-        assert_eq!(reloaded.blocks()[2].name, "poly_3");
+        assert_eq!(reloaded.name(2), "poly_3");
         assert_eq!(reloaded.kernels(), corpus.kernels());
         assert!((reloaded.total_weight() - corpus.total_weight()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn corpora_with_different_names_are_unequal() {
+        let insts = insts();
+        let jmp = Microkernel::single(insts.find("JMP").unwrap());
+        let a: Corpus = [("ab", 1.0, jmp.clone()), ("c", 1.0, jmp.clone())].into_iter().collect();
+        let b: Corpus = [("ab", 1.0, jmp.clone()), ("d", 1.0, jmp.clone())].into_iter().collect();
+        let c: Corpus = [("a", 1.0, jmp.clone()), ("bc", 1.0, jmp)].into_iter().collect();
+        assert_eq!(a.blocks(), b.blocks());
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, a.clone());
     }
 
     #[test]
@@ -336,7 +672,9 @@ mod tests {
         let insts = insts();
         let corpus = example(&insts);
         let addss = insts.find("ADDSS").unwrap();
-        let kernels: Vec<&Microkernel> = corpus.iter().map(|(_, k)| k).collect();
+        let names: Vec<&str> = corpus.iter().map(|(name, _, _)| name).collect();
+        assert_eq!(names, ["spec/0", "spec/1", "poly 3"]);
+        let kernels: Vec<&Microkernel> = corpus.iter().map(|(_, _, k)| k).collect();
         assert_eq!(kernels.len(), 3);
         assert_eq!(kernels[0].multiplicity(addss), 2);
         assert_eq!(kernels[2].multiplicity(addss), 4);
@@ -398,7 +736,7 @@ mod tests {
             [("#hot", 1.0, Microkernel::single(addss))].into_iter().collect();
         let reloaded = Corpus::parse(&corpus.render(&insts), &insts).unwrap();
         assert_eq!(reloaded.len(), 1, "a '#'-named block must not become a comment");
-        assert_eq!(reloaded.blocks()[0].name, "_#hot");
+        assert_eq!(reloaded.name(0), "_#hot");
     }
 
     #[test]

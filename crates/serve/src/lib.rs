@@ -164,13 +164,32 @@
 //! # Corpus format (`PALMED-CORPUS v1`)
 //!
 //! One basic block per line: a name, a dynamic execution weight, and the
-//! instruction mix as `NAME×COUNT` pairs (`×` is U+00D7, which cannot occur
-//! in instruction names):
+//! instruction mix as `NAME×COUNT` pairs (`×` is U+00D7):
 //!
 //! ```text
 //! PALMED-CORPUS v1
 //! <name> <weight> <inst>×<count> <inst>×<count> ...
 //! ```
+//!
+//! The hand-written single-pass parser ([`Corpus::parse`]) implements
+//! exactly this grammar:
+//!
+//! * Lines end at `\n`; a `\r` before it is a separator like any other, so
+//!   `\r\n` files parse.  Tokens are separated by runs of Unicode
+//!   `White_Space` (what `char::is_whitespace` accepts: ASCII `0x09..=0x0D`
+//!   and space, U+0085, U+00A0, U+1680, U+2000–U+200A, U+2028, U+2029,
+//!   U+202F, U+205F, U+3000); leading and trailing separators are ignored.
+//! * The first line, trimmed, must be the header.  After it, blank lines
+//!   and lines whose first token starts with `#` are skipped.
+//! * The first token is the name, any non-separator text.  The second is
+//!   the weight, read as `f64::from_str`; it must be finite and ≥ 0.
+//! * Every further token is an entry, split at its **first** `×`: the text
+//!   before is an instruction name, looked up exactly; the text after is
+//!   the count, read as `u32::from_str` (so a leading `+` is accepted), and
+//!   it must be > 0.  Repeated instructions add up, and each sum must stay
+//!   ≤ `u32::MAX`.  A line with no entries is a block with an empty mix.
+//! * Every violation is a [`CorpusError::Malformed`] carrying the 1-based
+//!   line number; the parser never panics on UTF-8 input.
 //!
 //! # Threat model
 //!

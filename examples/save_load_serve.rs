@@ -71,10 +71,10 @@ fn main() {
     println!("ingested {} blocks, {} distinct", prepared.len(), prepared.distinct());
     let result = served.batch().predict_prepared(&prepared);
     println!("block         weight   predicted IPC");
-    for (block, ipc) in corpus.blocks().iter().zip(&result.ipcs) {
+    for ((name, block, _), ipc) in corpus.iter().zip(&result.ipcs) {
         match ipc {
-            Some(ipc) => println!("{:<13} {:>7.0} {:>12.2}", block.name, block.weight, ipc),
-            None => println!("{:<13} {:>7.0} {:>12}", block.name, block.weight, "n/a"),
+            Some(ipc) => println!("{name:<13} {:>7.0} {:>12.2}", block.weight, ipc),
+            None => println!("{name:<13} {:>7.0} {:>12}", block.weight, "n/a"),
         }
     }
 

@@ -1,6 +1,7 @@
 //! The obs metrics core under fire: concurrent hammering from `palmed-par`
-//! worker threads must lose no update (atomics, not sampled estimates), and
-//! snapshots must render deterministically for fixed values.
+//! worker threads must lose no update (atomics, not sampled estimates),
+//! snapshots must render deterministically for fixed values, and a corpus
+//! served over the wire shows up in the `obs` admin frame.
 //!
 //! These tests arm the global obs flag, so they live in their own
 //! integration-test binary — the disabled-path guard runs as a separate
@@ -8,8 +9,13 @@
 //! [`REGISTRY_LOCK`]: the metrics registry is process-global, so a
 //! snapshot taken while another test hammers counters would see them move.
 
+use palmed_core::ConjunctiveMapping;
+use palmed_isa::{InstId, InstructionSet};
 use palmed_obs::{Histogram, HISTOGRAM_BUCKETS};
-use std::sync::{Mutex, MutexGuard};
+use palmed_serve::{ModelArtifact, ModelRegistry};
+use palmed_wire::{decode_frame, Connection, Decoded, Engine, Frame, Limits, WireStream};
+use std::io;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serializes every test that hammers or snapshots the global registry.
 static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
@@ -131,4 +137,97 @@ fn spans_and_events_drain_in_sequence_order() {
     let jsonl = palmed_obs::events_to_jsonl(&events);
     assert!(jsonl.contains("\"event\":\"it.inner\""));
     assert!(jsonl.contains("\"step\":1"));
+}
+
+/// An in-memory wire stream: the server reads `inbox` and writes `outbox`.
+#[derive(Default)]
+struct Loopback {
+    inbox: Vec<u8>,
+    outbox: Vec<u8>,
+}
+
+impl WireStream for Loopback {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.inbox.is_empty() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(self.inbox.len());
+        buf[..n].copy_from_slice(&self.inbox[..n]);
+        self.inbox.drain(..n);
+        Ok(n)
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.outbox.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+}
+
+/// Sends `frames` through one pump of `conn` and returns the replies.
+fn exchange(conn: &mut Connection, engine: &Engine, frames: &[Frame]) -> Vec<Frame> {
+    let mut stream = Loopback::default();
+    for frame in frames {
+        stream.inbox.extend_from_slice(&frame.encode());
+    }
+    conn.pump(0, &mut stream, engine);
+    let mut rest = stream.outbox.as_slice();
+    let mut replies = Vec::new();
+    while !rest.is_empty() {
+        match decode_frame(rest, u32::MAX).expect("server frames decode") {
+            Decoded::Frame { consumed, frame } => {
+                replies.push(frame);
+                rest = &rest[consumed..];
+            }
+            Decoded::NeedMore => panic!("truncated server output"),
+        }
+    }
+    replies
+}
+
+/// `(parse_ns sample count, blocks counter)` read from an `obs` admin
+/// reply's JSON body; absent metrics read as 0.
+fn corpus_metrics(reply: &Frame) -> (u64, u64) {
+    let Frame::AdminResponse { body, .. } = reply else {
+        panic!("expected an admin response, got {reply:?}");
+    };
+    let number_after = |key: &str| {
+        body.find(key).map_or(0, |at| {
+            let digits: String =
+                body[at + key.len()..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("a metric value")
+        })
+    };
+    (
+        number_after("\"serve.corpus.parse_ns\":{\"count\":"),
+        number_after("\"serve.corpus.blocks\":"),
+    )
+}
+
+#[test]
+fn a_wire_request_shows_its_corpus_parse_in_the_obs_frame() {
+    let _registry = registry_lock();
+    palmed_obs::set_enabled(true);
+    let mut mapping = ConjunctiveMapping::with_resources(1);
+    mapping.set_usage(InstId(0), vec![0.5]);
+    let registry = ModelRegistry::new();
+    registry.register(ModelArtifact::new("skl", "obs-it", InstructionSet::paper_example(), mapping));
+    let engine = Engine::new(Arc::new(registry));
+    let mut conn = Connection::new(Limits::default(), 0);
+    let obs = |req_id| Frame::AdminRequest { req_id, what: "obs".to_string() };
+
+    let before = exchange(&mut conn, &engine, &[obs(1)]);
+    let request = Frame::Request {
+        req_id: 2,
+        model: "skl".to_string(),
+        corpus: "PALMED-CORPUS v1\nb0 1 DIVPS×1\nb1 2 ADDSS×3 DIVPS×1\nb2 1 JNLE×1\n".to_string(),
+    };
+    let after = exchange(&mut conn, &engine, &[request, obs(3)]);
+    assert!(matches!(&after[0], Frame::Response { req_id: 2, rows } if rows.len() == 3));
+
+    // Every test in this binary holds REGISTRY_LOCK and none other parses
+    // a corpus, so the deltas are exact: one parse, three blocks.
+    let (parses_before, blocks_before) = corpus_metrics(&before[0]);
+    let (parses_after, blocks_after) = corpus_metrics(&after[1]);
+    assert_eq!(parses_after - parses_before, 1);
+    assert_eq!(blocks_after - blocks_before, 3);
 }
